@@ -37,6 +37,10 @@ from .rootsys import LieType, RootSystem, Weight, build_root_system
 from .weyl import DEFAULT_MAX_GROUP_ORDER, word_str
 
 
+# options whose value is a weight, which may start with a minus sign
+_WEIGHT_OPTIONS = ("--xi", "--lambda", "--mu")
+
+
 class UsageError(ValueError):
     """Invalid arguments detected after parsing; maps to exit code 2."""
 
@@ -424,9 +428,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_weights(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--mu -3,-3`` as ``--mu=-3,-3``: argparse takes a value that
+    starts with '-' and is not a plain number for an option."""
+    out: list[str] = []
+    for tok in argv:
+        negative = tok[:1] == "-" and tok[1:2].isdigit()
+        if negative and out and out[-1] in _WEIGHT_OPTIONS:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_weights(sys.argv[1:] if argv is None else argv)
+    )
     try:
         if args.command == "partition":
             return _cmd_partition(args, listing=False)

@@ -129,12 +129,18 @@ def compute_mq(
     method: str = "genfunc",
 ) -> MultiplicityResult:
     """q-analog multiplicity of mu in the highest-weight representation of
-    lam, from the alternation set; defaults are the highest root and zero."""
+    lam, from the alternation set; defaults are the highest root and zero.
+
+    Unless lam and mu are both dominant, the polynomial may have negative
+    coefficients.
+    """
     lam = rs.highest_root if lam is None else lam
     mu = rs.zero_weight() if mu is None else mu
     records = _fill_pq(rs, alternation_set(rs, lam, mu), method)
     acc = _signed_fold(records)
-    if any(c < 0 for c in acc):
+    # Nonnegativity is a theorem only for dominant lam and mu (Kato 1982,
+    # Lusztig 1983); other pairs may have negative coefficients.
+    if any(c < 0 for c in acc) and rs.is_dominant(lam) and rs.is_dominant(mu):
         raise RuntimeError(
             f"negative coefficient in m_q({lam!r}, {mu!r}) over {rs.lie_type}: "
             f"{acc} -- this indicates a bug"

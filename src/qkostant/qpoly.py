@@ -2,22 +2,21 @@
 
 A graded partition value is stored as its coefficient vector (c_0, c_1, ...):
 c_i counts the ways to reach the target weight using exactly i positive
-roots.  The same class carries multiplicity polynomials, whose intermediate
-signed sums may hold negative coefficients; only the final result is
-required to be nonnegative.
+roots.  The same class carries multiplicity polynomials, whose signed sums
+may hold negative coefficients; nonnegativity is a theorem only when both
+weights are dominant.
+
+The partition kernels work on a packed form: a nonnegative coefficient
+vector as one big integer, coefficient i in bits [i*bits, (i+1)*bits),
+because bigint shift-and-add is far faster in CPython than per-coefficient
+list arithmetic.  The limb width ``bits`` is not fixed here: each kernel
+proves a bound on every value it will hold and passes that width to
+:meth:`QPolynomial.from_packed` (see ``partition``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
-
-# The partition-counting kernels pack a coefficient vector into a single big
-# integer, one coefficient per limb, because bigint shift-and-add is far
-# faster in CPython than per-coefficient list arithmetic.  Every count in
-# this library stays many orders of magnitude below 2**128, so the packing
-# is exact.
-LIMB_BITS = 128
-LIMB_MASK = (1 << LIMB_BITS) - 1
 
 
 class QPolynomial:
@@ -62,23 +61,25 @@ class QPolynomial:
         return cls((0,) * power + (coeff,))
 
     @classmethod
-    def from_packed(cls, packed: int) -> "QPolynomial":
-        """Decode a limb-packed nonnegative coefficient vector."""
+    def from_packed(cls, packed: int, bits: int = 64) -> "QPolynomial":
+        """Decode a nonnegative coefficient vector packed ``bits`` per limb."""
         if packed < 0:
             raise ValueError("packed polynomials are nonnegative")
+        mask = (1 << bits) - 1
         cs = []
         while packed:
-            cs.append(packed & LIMB_MASK)
-            packed >>= LIMB_BITS
+            cs.append(packed & mask)
+            packed >>= bits
         return cls(cs)
 
-    def pack(self) -> int:
-        """Inverse of :meth:`from_packed`; requires nonnegative coefficients."""
+    def pack(self, bits: int = 64) -> int:
+        """Inverse of :meth:`from_packed`; every coefficient must be
+        nonnegative and below ``2**bits``."""
         n = 0
         for c in reversed(self.coeffs):
-            if c < 0:
-                raise ValueError("cannot pack negative coefficients")
-            n = (n << LIMB_BITS) | c
+            if c < 0 or c.bit_length() > bits:
+                raise ValueError(f"cannot pack coefficient {c} in {bits} bits")
+            n = (n << bits) | c
         return n
 
     # -- queries -----------------------------------------------------------

@@ -113,6 +113,19 @@ class TestMultCommand:
         code, out, _ = run(capsys, "mult", "A2")
         assert out.strip() == "m_q = q + q^2; m = 2"
 
+    @pytest.mark.parametrize("mu", [["--mu=-3,-3"], ["--mu", "-3,-3"]])
+    def test_negative_mu(self, capsys, mu):
+        code, out, _ = run(
+            capsys, "mult", "A2", "--lambda", "0,0", *mu, "--basis", "omega"
+        )
+        assert code == 0
+        assert out.strip() == "m_q = -q + q^2 + q^3 - q^4 - q^5 + q^6; m = 0"
+
+    def test_negative_lambda(self, capsys):
+        code, out, _ = run(capsys, "altset", "A2", "--lambda", "-2,-1", "--mu=-2,-1")
+        assert code == 0
+        assert out.splitlines()[1:] == ["1 | 1 | 0 | 0 | 1", "2 | s_1 | 1 | 2α1 | q^2"]
+
     def test_omega_basis(self, capsys):
         # the highest root of G2 is the second fundamental weight
         _, out_omega, _ = run(

@@ -77,6 +77,13 @@ class TestComputeMq:
         with pytest.raises(ValueError):
             compute_mq(build_root_system("A2"), method="magic")
 
+    def test_non_dominant_mu_may_be_negative(self):
+        rs = build_root_system("A2")
+        mu = rs.omega_to_alpha([-3, -3])
+        res = compute_mq(rs, rs.zero_weight(), mu)
+        assert res.mq.coeffs == (0, -1, 1, 1, -1, -1, 1)
+        assert res.mq == full_group_mq(rs, rs.zero_weight(), mu)
+
     def test_adjoint_zero_multiplicity_is_rank(self):
         for name in ["A1", "A4", "B3", "C3", "D4", "G2", "F4", "E6"]:
             rs = build_root_system(name)

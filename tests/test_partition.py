@@ -1,5 +1,6 @@
 """Partition counting: tree and generating-function methods, listing, oracles."""
 
+import itertools
 import math
 from collections import Counter
 from random import Random
@@ -16,6 +17,7 @@ from qkostant import (
     partition_tree_count,
     partition_tree_list,
 )
+from qkostant.partition import _genfunc_table, _limb_bits
 from support import brute_force_pq
 
 G2 = build_root_system("G2")
@@ -90,6 +92,33 @@ class TestGenfunc:
         rs = build_root_system("E6")
         pq = partition_genfunc(rs, rs.highest_root)
         assert pq.coeffs == (0, 1, 10, 45, 105, 150, 142, 97, 48, 18, 5, 1)
+
+    def test_e8_theta_box_limb_covers_every_cell(self):
+        rs = build_root_system("E8")
+        box = tuple(int(c) for c in rs.highest_root)
+        read = _genfunc_table(rs, box)
+        limb = _limb_bits([sum(v) for v in rs.root_vectors], sum(box))
+        cells = list(itertools.product(*(range(b + 1) for b in box)))
+        widest = max(c.bit_length() for v in cells for c in read(v).coeffs)
+        assert (limb, widest) == (35, 21)
+        low = [v for v in cells if sum(v) <= 12]
+        for v in Random(8).sample(low, 25):
+            assert read(v) == partition_tree_count(rs, Weight(v))
+
+    def test_limb_bound_past_32_bits(self):
+        # E8 root heights up to t^56: the packed series against plain lists
+        heights = [sum(v) for v in build_root_system("E8").root_vectors]
+        top = 56
+        series = [[1]] + [[] for _ in range(top)]
+        for h in heights:
+            for k in range(h, top + 1):
+                low, cur = series[k - h], series[k]
+                cur.extend([0] * (len(low) + 1 - len(cur)))
+                for i, c in enumerate(low):
+                    cur[i + 1] += c
+        largest = max(c for poly in series for c in poly)
+        assert largest.bit_length() > 32
+        assert _limb_bits(heights, top) == largest.bit_length()
 
     def test_batch_matches_singles(self):
         rs = build_root_system("B3")
@@ -168,6 +197,11 @@ class TestAlgorithmAgreement:
             ("B3", (1, 2, 2)),
             ("C3", (2, 2, 1)),
             ("A3", (2, 2, 2)),
+            ("A1", (5,)),  # rank 1
+            ("A1", (70,)),  # no inner axes: a slab per cell
+            ("G2", (0, 4)),  # a zero coordinate
+            ("B2", (7, 7)),  # the inner suffix is the whole box, 64 cells
+            ("B3", (3, 4, 3)),  # 80 cells: one outer axis
         ]
         for name, xi in cases:
             rs = build_root_system(name)
