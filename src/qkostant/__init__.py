@@ -11,7 +11,6 @@ from .rootsys import (
     build_root_system,
     cartan_matrix,
     classify_weight,
-    weight_height,
     weyl_group_order,
 )
 from .weyl import (
@@ -22,12 +21,8 @@ from .weyl import (
     alternation_set,
     apply,
     canonical_word,
-    compose,
-    determinant,
     enumerate_group,
     group_order_bfs,
-    identity_element,
-    length_by_negative_roots,
     simple_reflection,
     word_str,
 )
@@ -68,16 +63,12 @@ __all__ = [
     "canonical_word",
     "cartan_matrix",
     "classify_weight",
-    "compose",
     "compute_m",
     "compute_mq",
-    "determinant",
     "enumerate_group",
     "full_group_mq",
     "group_order_bfs",
-    "identity_element",
     "kostant_partition",
-    "length_by_negative_roots",
     "partition_genfunc",
     "partition_genfunc_batch",
     "partition_tree_count",
@@ -85,7 +76,6 @@ __all__ = [
     "reference_exponents",
     "simple_reflection",
     "verify_exponents",
-    "weight_height",
     "weyl_group_order",
     "word_str",
 ]

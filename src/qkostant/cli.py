@@ -231,23 +231,9 @@ def _cmd_partition(args: argparse.Namespace, listing: bool) -> int:
     return 0
 
 
-def _cmd_altset(args: argparse.Namespace) -> int:
-    rs = build_root_system(_resolve_type(args))
-    lam = _input_weight(rs, args.lam, args.basis) if args.lam else None
-    mu = _input_weight(rs, args.mu, args.basis) if args.mu else None
-    result = compute_mq(rs, lam, mu, method=args.method)
-    if args.format == "json":
-        _emit(json.dumps(_mult_payload(result), indent=2), args)
-    elif args.format == "csv":
-        _emit(_records_csv(result), args)
-    elif args.format == "latex":
-        _emit(_records_latex(result), args)
-    else:
-        _emit(_records_text(result), args)
-    return 0
-
-
 def _cmd_mult(args: argparse.Namespace) -> int:
+    """``altset`` and ``mult``: one computation; in text form ``altset``
+    lists the records and ``mult`` prints m_q."""
     rs = build_root_system(_resolve_type(args))
     lam = _input_weight(rs, args.lam, args.basis) if args.lam else None
     mu = _input_weight(rs, args.mu, args.basis) if args.mu else None
@@ -258,6 +244,8 @@ def _cmd_mult(args: argparse.Namespace) -> int:
         _emit(_records_csv(result), args)
     elif args.format == "latex":
         _emit(_records_latex(result), args)
+    elif args.command == "altset":
+        _emit(_records_text(result), args)
     else:
         _emit(f"m_q = {result.mq.compact_text()}; m = {result.m}", args)
     return 0
@@ -390,12 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--basis", choices=("alpha", "omega"), default="alpha")
     common.add_argument("--out", metavar="FILE")
-    common.add_argument(
-        "--max-group-order",
-        type=int,
-        default=DEFAULT_MAX_GROUP_ORDER,
-        metavar="N",
-    )
 
     typed = argparse.ArgumentParser(add_help=False)
     typed.add_argument("type_pos", nargs="?", metavar="TYPE")
@@ -424,6 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="exponent identity checks"
     )
     p_verify.add_argument("types", nargs="*", metavar="TYPE")
+    p_verify.add_argument(
+        "--max-group-order",
+        type=int,
+        default=DEFAULT_MAX_GROUP_ORDER,
+        metavar="N",
+    )
 
     return parser
 
@@ -451,17 +439,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_partition(args, listing=False)
         if args.command == "list-partitions":
             return _cmd_partition(args, listing=True)
-        if args.command == "altset":
-            return _cmd_altset(args)
-        if args.command == "mult":
+        if args.command in ("altset", "mult"):
             return _cmd_mult(args)
         if args.command == "verify":
             return _cmd_verify(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

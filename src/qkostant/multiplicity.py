@@ -131,16 +131,16 @@ def compute_mq(
     """q-analog multiplicity of mu in the highest-weight representation of
     lam, from the alternation set; defaults are the highest root and zero.
 
-    Unless lam and mu are both dominant, the polynomial may have negative
-    coefficients.
+    lam must be dominant integral (ValueError otherwise).  Unless mu is
+    dominant too, the polynomial may have negative coefficients.
     """
     lam = rs.highest_root if lam is None else lam
     mu = rs.zero_weight() if mu is None else mu
     records = _fill_pq(rs, alternation_set(rs, lam, mu), method)
     acc = _signed_fold(records)
     # Nonnegativity is a theorem only for dominant lam and mu (Kato 1982,
-    # Lusztig 1983); other pairs may have negative coefficients.
-    if any(c < 0 for c in acc) and rs.is_dominant(lam) and rs.is_dominant(mu):
+    # Lusztig 1983); alternation_set has already rejected a non-dominant lam.
+    if any(c < 0 for c in acc) and rs.is_dominant(mu):
         raise RuntimeError(
             f"negative coefficient in m_q({lam!r}, {mu!r}) over {rs.lie_type}: "
             f"{acc} -- this indicates a bug"
@@ -241,8 +241,8 @@ def verify_exponents(
     """Check that the adjoint zero-weight q-multiplicity lists the exponents.
 
     When ``enumerate_order_limit`` is positive and at least the known group
-    order, the group is also counted by BFS and compared against the closed
-    form.  Mismatches are reported in the returned record, never raised.
+    order, the group is also counted by walking it and compared against the
+    closed form.  Mismatches are reported in the returned record, never raised.
     """
     started = time.perf_counter()
     result = compute_mq(rs, method=method)
@@ -282,7 +282,7 @@ def verify_exponents(
         enumerated = group_order_bfs(rs, enumerate_order_limit)
         if enumerated != order:
             notes.append(
-                f"BFS enumeration found {enumerated} elements, closed form "
+                f"walking the group found {enumerated} elements, closed form "
                 f"gives {order}"
             )
 

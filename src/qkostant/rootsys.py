@@ -183,11 +183,6 @@ class Weight:
         return self._render(lambda i: f"\\alpha_{{{i}}}")
 
 
-def weight_height(w: Weight) -> Fraction:
-    """Sum of the simple-root coefficients of ``w``."""
-    return w.height()
-
-
 def classify_weight(w: Weight) -> WeightClass:
     """Classify ``w``; a fractional coefficient dominates a negative one."""
     if any(c.denominator != 1 for c in w.coeffs):

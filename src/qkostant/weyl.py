@@ -3,12 +3,19 @@
 An element is an integer matrix M with (M w)_k = sum_j M[k][j] w_j; its
 columns are the images of the simple roots, so every column is the
 coefficient vector of a root (all entries of one sign).  Right
-multiplication by a simple reflection s_i is a cheap column update, which is
-what the breadth-first enumerations below exploit.
+multiplication by a simple reflection s_i is a cheap column update, and i is
+a right descent of M (length drops under M s_i) iff column i is negative.
 
-Canonical reduced words are recovered from the matrix by repeatedly
-stripping the smallest right descent (an i with M alpha_i negative); the
-word is read off in reverse order of stripping.
+Every element has one canonical reduced word: strip the smallest right
+descent until the identity is reached and read the stripped letters in
+reverse.  The canonical words form a tree rooted at the empty word
+(Casselman, Invent. Math. 116 (1994); Stembridge, MSJ Memoirs 11 (2001)):
+the children of M are the M s_i for which i is an ascent of M and no j < i
+is a descent of M s_i.  :func:`_walk` searches that tree one length layer at
+a time, so every element is met exactly once, in (length, canonical word)
+order, carrying its word, with no visited set.  Enumerating the group,
+counting it and finding an alternation set are all this one walk; the last
+prunes each rejected child together with its subtree.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .qpoly import QPolynomial
 from .rootsys import IntVec, Matrix, RootSystem, Weight
@@ -54,17 +61,30 @@ def _rmul_simple(cartan: Matrix, m: Matrix, i: int) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def _column_is_negative(m: Matrix, i: int) -> bool:
-    # Columns of a Weyl matrix are roots, hence all of one sign.
-    return any(row[i] < 0 for row in m)
+def _walk(
+    rs: RootSystem, keep: Optional[Callable[[Matrix], bool]] = None
+) -> Iterator[tuple[Matrix, tuple[int, ...]]]:
+    """Yield (matrix, canonical word) down the canonical-word tree, one
+    length layer at a time; an element failing ``keep`` is dropped together
+    with its subtree (the root included)."""
+    cartan, r = rs.cartan, rs.rank
+    ident = _identity(r)
+    layer = [(ident, ())] if keep is None or keep(ident) else []
+    while layer:
+        yield from layer
+        nxt = []
+        for m, word in layer:
+            # h[j] is the height of the root m(alpha_j), whose sign is that of
+            # column j; m s_i sends alpha_j to a root of height h[j] - a_ij h[i].
+            h = [sum(col) for col in zip(*m)]
+            for i, a in enumerate(cartan):
+                hi = h[i]
+                if hi < 0 or any(h[j] < a[j] * hi for j in range(i)):
+                    continue
+                m2 = _rmul_simple(cartan, m, i)
+                if keep is None or keep(m2):
+                    nxt.append((m2, word + (i + 1,)))
+        layer = nxt
 
 
 def canonical_word(cartan: Matrix, m: Matrix) -> tuple[int, ...]:
@@ -73,7 +93,7 @@ def canonical_word(cartan: Matrix, m: Matrix) -> tuple[int, ...]:
     r = len(cartan)
     while True:
         for i in range(r):
-            if _column_is_negative(m, i):
+            if any(row[i] < 0 for row in m):  # column i is a negative root
                 stripped.append(i + 1)
                 m = _rmul_simple(cartan, m, i)
                 break
@@ -92,7 +112,7 @@ def word_str(word: tuple[int, ...]) -> str:
 @dataclass(frozen=True)
 class WeylElement:
     """A group element: its matrix, a reduced word for it, and the Cartan
-    matrix it lives over (needed to compose and to recover words)."""
+    matrix it lives over."""
 
     cartan: Matrix
     matrix: Matrix
@@ -110,18 +130,11 @@ class WeylElement:
     def rank(self) -> int:
         return len(self.matrix)
 
-    def apply(self, w: Weight) -> Weight:
-        return apply(self, w)
-
     def __str__(self) -> str:
         return word_str(self.word)
 
     def __repr__(self) -> str:
         return f"WeylElement({word_str(self.word)}, length={self.length})"
-
-
-def identity_element(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs.cartan, _identity(rs.rank), ())
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -141,114 +154,27 @@ def apply(e: WeylElement, w: Weight) -> Weight:
     )
 
 
-def compose(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Product a*b with the canonical reduced word recomputed from scratch."""
-    if a.cartan != b.cartan:
-        raise ValueError("cannot compose elements over different Cartan matrices")
-    m = _matmul(a.matrix, b.matrix)
-    return WeylElement(a.cartan, m, canonical_word(a.cartan, m))
-
-
-def length_by_negative_roots(rs: RootSystem, e: WeylElement) -> int:
-    """Coxeter length as the number of positive roots sent negative."""
-    count = 0
-    for v in rs.root_vectors:
-        img = [sum(row[j] * v[j] for j in range(rs.rank)) for row in e.matrix]
-        if any(x < 0 for x in img):
-            count += 1
-    return count
-
-
-def determinant(m: Matrix) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _check_order(rs: RootSystem, max_order: int) -> None:
+    if rs.weyl_order > max_order:
+        raise OrderExceededError(
+            f"|W({rs.lie_type})| = {rs.weyl_order} exceeds max_order = {max_order}"
+        )
 
 
 def enumerate_group(
     rs: RootSystem, max_order: int = DEFAULT_MAX_GROUP_ORDER
 ) -> list[WeylElement]:
-    """The full Weyl group by breadth-first search over right multiplication.
-
-    Elements come out in length order (BFS depth equals Coxeter length) and
-    carry their discovery word, which is always reduced.  Refuses to start
-    when the known group order exceeds ``max_order``.
-    """
-    order = rs.weyl_order
-    if order > max_order:
-        raise OrderExceededError(
-            f"|W({rs.lie_type})| = {order} exceeds max_order = {max_order}"
-        )
-    cartan = rs.cartan
-    ident = _identity(rs.rank)
-    elements = [WeylElement(cartan, ident, ())]
-    seen = {ident}
-    frontier: list[tuple[Matrix, tuple[int, ...]]] = [(ident, ())]
-    while frontier:
-        nxt: list[tuple[Matrix, tuple[int, ...]]] = []
-        for m, w in frontier:
-            for i in range(rs.rank):
-                m2 = _rmul_simple(cartan, m, i)
-                if m2 not in seen:
-                    seen.add(m2)
-                    w2 = w + (i + 1,)
-                    nxt.append((m2, w2))
-                    elements.append(WeylElement(cartan, m2, w2))
-        frontier = nxt
-    if len(elements) != order:
-        raise AssertionError(
-            f"BFS found {len(elements)} elements of W({rs.lie_type}), expected {order}"
-        )
-    return elements
+    """The full Weyl group, in (length, canonical word) order, each element
+    carrying its canonical word.  Refuses to start when the known group
+    order exceeds ``max_order``."""
+    _check_order(rs, max_order)
+    return [WeylElement(rs.cartan, m, word) for m, word in _walk(rs)]
 
 
 def group_order_bfs(rs: RootSystem, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
-    """Count the group by BFS without materializing elements.
-
-    Matrix entries are packed into bytes keys (they are root coefficients,
-    so they fit in [-16, 239] with room to spare), which keeps the visited
-    set small enough for the larger groups.
-    """
-    order = rs.weyl_order
-    if order > max_order:
-        raise OrderExceededError(
-            f"|W({rs.lie_type})| = {order} exceeds max_order = {max_order}"
-        )
-    cartan = rs.cartan
-    ident = _identity(rs.rank)
-
-    def key(m: Matrix) -> bytes:
-        return bytes(x + 16 for row in m for x in row)
-
-    seen = {key(ident)}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for i in range(rs.rank):
-                m2 = _rmul_simple(cartan, m, i)
-                k2 = key(m2)
-                if k2 not in seen:
-                    seen.add(k2)
-                    nxt.append(m2)
-        frontier = nxt
-    return len(seen)
+    """Count the group by walking it, holding one length layer at a time."""
+    _check_order(rs, max_order)
+    return sum(1 for _ in _walk(rs))
 
 
 @dataclass(frozen=True)
@@ -270,18 +196,26 @@ def alternation_set(
     lam: Optional[Weight] = None,
     mu: Optional[Weight] = None,
 ) -> list[AlternationRecord]:
-    """All Weyl elements whose term in the multiplicity sum can be nonzero.
+    """All Weyl elements whose term in the multiplicity sum can be nonzero,
+    in (length, canonical word) order; ``pq`` is left unfilled.
 
-    Worklist search: seed with the identity when (lam+rho)-(rho+mu) is a
-    nonnegative integral combination of simple roots, then repeatedly extend
-    admitted elements on the right by every simple reflection, admitting an
-    unseen matrix iff its xi passes the same test.  Records are sorted by
-    (length, canonical word); ``pq`` is left unfilled.
+    lam must be dominant integral.  Then the admitted sigma, those whose
+    xi = sigma(lam+rho)-(rho+mu) is a nonnegative integral combination of
+    simple roots, form a subtree of the canonical-word tree: stripping a right
+    descent i adds <lam+rho, alpha_i^vee> > 0 times the positive root
+    -sigma(alpha_i) to xi.  So the walk pruned by that test finds them all.
     """
     lam = rs.highest_root if lam is None else lam
     mu = rs.zero_weight() if mu is None else mu
     if len(lam) != rs.rank or len(mu) != rs.rank:
         raise ValueError("lambda/mu rank mismatch")
+    pairings = [rs.coroot_pairing(lam, i) for i in range(1, rs.rank + 1)]
+    if any(p < 0 or p.denominator != 1 for p in pairings):
+        raise ValueError(
+            f"lambda = {lam!r} is not dominant integral for {rs.lie_type}: its "
+            f"coroot pairings ({', '.join(map(str, pairings))}) must be "
+            "nonnegative integers"
+        )
     target = lam + rs.rho
     shift = rs.rho + mu
 
@@ -292,7 +226,6 @@ def alternation_set(
     tv = tuple(int(c * den) for c in target.coeffs)
     sv = tuple(int(c * den) for c in shift.coeffs)
     r = rs.rank
-    cartan = rs.cartan
 
     def xi_of(m: Matrix) -> IntVec:
         return tuple(
@@ -300,35 +233,16 @@ def alternation_set(
             for k, row in enumerate(m)
         )
 
-    def admissible(x: IntVec) -> bool:
+    def admissible(m: Matrix) -> bool:
         if den == 1:
-            return all(v >= 0 for v in x)
-        return all(v >= 0 and v % den == 0 for v in x)
+            return all(v >= 0 for v in xi_of(m))
+        return all(v >= 0 and v % den == 0 for v in xi_of(m))
 
-    ident = _identity(r)
-    x0 = xi_of(ident)
-    if not admissible(x0):
-        return []
-    admitted: list[tuple[Matrix, IntVec]] = [(ident, x0)]
-    tested = {ident}
-    i = 0
-    while i < len(admitted):
-        m, _ = admitted[i]
-        for k in range(r):
-            m2 = _rmul_simple(cartan, m, k)
-            if m2 in tested:
-                continue
-            tested.add(m2)
-            x2 = xi_of(m2)
-            if admissible(x2):
-                admitted.append((m2, x2))
-        i += 1
-
-    records = []
-    for m, x in admitted:
-        word = canonical_word(cartan, m)
-        xi = Weight(v // den for v in x)
-        sign = -1 if len(word) % 2 else 1
-        records.append(AlternationRecord(WeylElement(cartan, m, word), xi, sign))
-    records.sort(key=lambda rec: (rec.element.length, rec.element.word))
-    return records
+    return [
+        AlternationRecord(
+            WeylElement(rs.cartan, m, word),
+            Weight(v // den for v in xi_of(m)),
+            -1 if len(word) % 2 else 1,
+        )
+        for m, word in _walk(rs, admissible)
+    ]

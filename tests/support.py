@@ -1,8 +1,10 @@
 """Shared test helpers: independent oracles and randomized samplers.
 
 The oracles here deliberately avoid the library's counting algorithms:
-root sets are regenerated by reflection-orbit closure, and graded partition
-counts by plain enumeration over a multiplicity box.
+root sets are regenerated by reflection-orbit closure, graded partition
+counts by plain enumeration over a multiplicity box, Coxeter lengths by
+counting the positive roots sent negative, and products of Weyl elements by
+full matrix multiplication.
 """
 
 from __future__ import annotations
@@ -10,7 +12,57 @@ from __future__ import annotations
 import itertools
 from random import Random
 
-from qkostant import RootSystem, Weight
+from qkostant import RootSystem, Weight, WeylElement, canonical_word
+
+
+def identity_element(rs: RootSystem) -> WeylElement:
+    r = rs.rank
+    m = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    return WeylElement(rs.cartan, m, ())
+
+
+def compose(a: WeylElement, b: WeylElement) -> WeylElement:
+    """Product a*b by matrix multiplication, its word recomputed from scratch."""
+    if a.cartan != b.cartan:
+        raise ValueError("cannot compose elements over different Cartan matrices")
+    bt = tuple(zip(*b.matrix))
+    m = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+        for row in a.matrix
+    )
+    return WeylElement(a.cartan, m, canonical_word(a.cartan, m))
+
+
+def length_by_negative_roots(rs: RootSystem, e: WeylElement) -> int:
+    """Coxeter length as the number of positive roots sent negative."""
+    count = 0
+    for v in rs.root_vectors:
+        img = [sum(row[j] * v[j] for j in range(rs.rank)) for row in e.matrix]
+        if any(x < 0 for x in img):
+            count += 1
+    return count
+
+
+def determinant(m) -> int:
+    """Exact integer determinant (fraction-free Bareiss elimination)."""
+    n = len(m)
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def orbit_positive_roots(cartan) -> set[tuple[int, ...]]:

@@ -23,7 +23,6 @@ from qkostant import (
     build_root_system,
     classify_weight,
     compute_mq,
-    determinant,
     enumerate_group,
     full_group_mq,
     partition_genfunc,
@@ -35,7 +34,7 @@ from qkostant import (
     word_str,
 )
 from qkostant.cli import main as cli_main
-from support import brute_force_pq, random_dominant_pair
+from support import brute_force_pq, determinant, random_dominant_pair
 
 RANK_LE_4 = [
     "A1", "A2", "A3", "A4",

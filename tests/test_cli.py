@@ -122,9 +122,14 @@ class TestMultCommand:
         assert out.strip() == "m_q = -q + q^2 + q^3 - q^4 - q^5 + q^6; m = 0"
 
     def test_negative_lambda(self, capsys):
-        code, out, _ = run(capsys, "altset", "A2", "--lambda", "-2,-1", "--mu=-2,-1")
-        assert code == 0
-        assert out.splitlines()[1:] == ["1 | 1 | 0 | 0 | 1", "2 | s_1 | 1 | 2α1 | q^2"]
+        # "-2,-1" parses; the library then rejects it as not dominant
+        code, out, err = run(capsys, "altset", "A2", "--lambda", "-2,-1", "--mu=-2,-1")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: lambda = Weight(-2, -1) is not dominant integral for A2: "
+            "its coroot pairings (-3, 0) must be nonnegative integers\n"
+        )
 
     def test_omega_basis(self, capsys):
         # the highest root of G2 is the second fundamental weight

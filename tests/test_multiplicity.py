@@ -8,6 +8,7 @@ import pytest
 import golden_tables as gt
 from qkostant import (
     QPolynomial,
+    Weight,
     build_root_system,
     compute_m,
     compute_mq,
@@ -83,6 +84,13 @@ class TestComputeMq:
         res = compute_mq(rs, rs.zero_weight(), mu)
         assert res.mq.coeffs == (0, -1, 1, 1, -1, -1, 1)
         assert res.mq == full_group_mq(rs, rs.zero_weight(), mu)
+
+    @pytest.mark.parametrize("name,lam", [("A2", [-1, 0]), ("A1", ["1/4"])])
+    def test_lambda_not_dominant_integral(self, name, lam):
+        # the alternating sum is no multiplicity there: A2 at -alpha_1 gave 1 - q
+        rs = build_root_system(name)
+        with pytest.raises(ValueError, match="not dominant integral"):
+            compute_mq(rs, Weight(lam), Weight(lam))
 
     def test_adjoint_zero_multiplicity_is_rank(self):
         for name in ["A1", "A4", "B3", "C3", "D4", "G2", "F4", "E6"]:

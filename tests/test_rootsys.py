@@ -11,7 +11,6 @@ from qkostant import (
     build_root_system,
     cartan_matrix,
     classify_weight,
-    weight_height,
     weyl_group_order,
 )
 from support import orbit_positive_roots
@@ -108,10 +107,10 @@ class TestWeight:
             Weight([1, 2]) + Weight([1, 2, 3])
 
     def test_height(self):
-        assert weight_height(Weight([2, 2])) == 4
-        assert weight_height(Weight([0, 0])) == 0
-        assert weight_height(Weight([3, 2])) == 5
-        assert weight_height(Weight(["1/2", 1])) == Fraction(3, 2)
+        assert Weight([2, 2]).height() == 4
+        assert Weight([0, 0]).height() == 0
+        assert Weight([3, 2]).height() == 5
+        assert Weight(["1/2", 1]).height() == Fraction(3, 2)
 
     def test_classify(self):
         assert classify_weight(Weight([2, 2])) is WeightClass.NONNEGATIVE_INTEGRAL

@@ -14,16 +14,18 @@ from qkostant import (
     build_root_system,
     canonical_word,
     classify_weight,
-    compose,
-    determinant,
     enumerate_group,
     group_order_bfs,
-    identity_element,
-    length_by_negative_roots,
     simple_reflection,
     word_str,
 )
-from support import random_dominant_pair
+from support import (
+    compose,
+    determinant,
+    identity_element,
+    length_by_negative_roots,
+    random_dominant_pair,
+)
 
 
 class TestSimpleReflections:
@@ -117,14 +119,16 @@ class TestApplyCompose:
                 assert length_by_negative_roots(rs, e) == e.length
 
     def test_canonical_words_reproduce_elements(self):
-        rs = build_root_system("B3")
-        for e in enumerate_group(rs):
-            word = canonical_word(rs.cartan, e.matrix)
-            assert len(word) == e.length
-            rebuilt = identity_element(rs)
-            for i in word:
-                rebuilt = compose(rebuilt, simple_reflection(rs, i))
-            assert rebuilt.matrix == e.matrix
+        for name in ["B3", "F4"]:
+            rs = build_root_system(name)
+            for e in enumerate_group(rs):
+                word = canonical_word(rs.cartan, e.matrix)
+                assert e.word == word
+                assert len(word) == e.length
+                rebuilt = identity_element(rs)
+                for i in word:
+                    rebuilt = compose(rebuilt, simple_reflection(rs, i))
+                assert rebuilt.matrix == e.matrix
 
 
 class TestEnumerateGroup:
@@ -228,23 +232,26 @@ class TestAlternationSet:
                 assert parents & matrices
 
     def test_matches_exhaustive_filter(self):
-        rng = Random(7)
+        # each dominant mu, then a random Weyl conjugate of it
+        rng, pick = Random(7), Random(8)
         for name in ["A2", "B2", "B3", "G2"]:
             rs = build_root_system(name)
             elements = enumerate_group(rs)
             for _ in range(8):
-                lam, mu = random_dominant_pair(rs, rng)
-                records = alternation_set(rs, lam, mu)
-                got = {r.element.matrix for r in records}
-                target = lam + rs.rho
-                shift = rs.rho + mu
-                expected = {
-                    e.matrix
-                    for e in elements
-                    if classify_weight(apply(e, target) - shift)
-                    is WeightClass.NONNEGATIVE_INTEGRAL
-                }
-                assert got == expected
+                lam, dominant_mu = random_dominant_pair(rs, rng)
+                conjugate_mu = apply(pick.choice(elements), dominant_mu)
+                for mu in (dominant_mu, conjugate_mu):
+                    records = alternation_set(rs, lam, mu)
+                    got = {r.element.matrix for r in records}
+                    target = lam + rs.rho
+                    shift = rs.rho + mu
+                    expected = {
+                        e.matrix
+                        for e in elements
+                        if classify_weight(apply(e, target) - shift)
+                        is WeightClass.NONNEGATIVE_INTEGRAL
+                    }
+                    assert got == expected
 
     def test_matches_exhaustive_filter_rank_5(self):
         # the pruned search stays sound beyond the rank-4 sweep
@@ -270,6 +277,12 @@ class TestAlternationSet:
         rs = build_root_system("A2")
         with pytest.raises(ValueError):
             alternation_set(rs, Weight([1]), rs.zero_weight())
+
+    @pytest.mark.parametrize("name,lam", [("A2", [-1, 0]), ("A1", ["1/4"])])
+    def test_lambda_not_dominant_integral(self, name, lam):
+        rs = build_root_system(name)
+        with pytest.raises(ValueError, match="not dominant integral"):
+            alternation_set(rs, Weight(lam), Weight(lam))
 
 
 def test_word_str():
