@@ -6,30 +6,47 @@ Two independent algorithms produce the same graded count:
   canonical order, branching on how many copies of the current root to
   subtract while the residual stays nonnegative; a zero residual closes one
   successful branch, and identical (root index, residual) subproblems are
-  shared through a per-type memo table;
+  shared through a per-type memo table, which skips the roots that do not
+  fit the residual rather than storing their count (mostly zero);
 
 * the generating-function method: the truncated expansion of the product of
   geometric series 1/(1 - q x_beta) over the positive roots, realised as a
   dynamic program over the exponent box [0, xi_1] x ... x [0, xi_r].
 
 Both kernels hold graded counts packed into big integers, a coefficient per
-limb of L bits (see qpoly).  L is proven, not guessed.  A partition of a
-weight v into i roots is a multiset of i roots of total height ht(v), and
-every value a kernel holds counts a subset of such partitions, so every
-coefficient is at most the largest coefficient of
-prod_beta 1/(1 - q t^ht(beta)) up to t^H, H the largest height in play;
-:func:`_limb_bits` computes that coefficient's bit length.
+limb of L bits (see qpoly).  L is proven, not guessed.  Every value a
+kernel holds in place of weight v counts a subset of the partitions of v,
+so it is at most p(v), the number of partitions of v.
+
+* Genfunc proves L per box from the exact count.  Every simple root
+  alpha_j with box_j >= 1 fits the box, so adding the simple roots of
+  box - v maps the partitions of v one-to-one into those of the box:
+  p(v) <= p(box) for every cell v, and L = p(box).bit_length() holds every
+  coefficient.  p(box) comes from a first, plain pass of the same kernel,
+  one limb per cell and no q grading (24 bits on the E8 theta box, whose
+  largest graded coefficient has 21).  The plain pass's own limb is
+  bounded the same way by the number of multisets of roots of total height
+  ht(box) (:func:`_multisets_by_height`): a partition of v is such a
+  multiset of height ht(v), and adding a root of height 1 maps multisets of
+  one height one-to-one into those one higher.
+
+* The tree method bounds a coefficient, the partitions into i roots, by
+  the multisets of i roots of total height ht(v), which gives the largest
+  coefficient of prod_beta 1/(1 - q t^ht(beta)) up to t^H, H the largest
+  height its memo can hold; :func:`_limb_bits` computes its bit length.
 
 Genfunc slab layout.  The box axes split into outer axes and an inner
 suffix, the longest run of trailing axes with at most ``SLAB_CELLS`` cells.
 Each outer position holds one bigint slab with every inner cell at a
-uniform width of (H + 1) * L bits, H = ht(box), which fits any degree a
-cell can reach.  A root with a nonzero outer part costs one masked
-shift-add per outer position of its sub-box, in increasing order, so later
-positions see earlier updates; a root inside the inner axes repeats its
-masked shift within each slab until nothing is left.  The mask of a root
-keeps the cells whose image stays in the box; masks are keyed by the
-root's inner part.
+uniform width: one limb in the plain pass, and (H + 1) * L bits in the
+graded pass, H = ht(box), which fits any degree a cell can reach.  Both
+passes follow one per-root plan of offsets, outer positions and inner
+steps.  A root with a nonzero outer part costs one masked shift-add per
+outer position of its sub-box, in increasing order, so later positions see
+earlier updates; a root inside the inner axes repeats its masked shift
+within each slab until nothing is left.  The mask of a root keeps the
+cells whose image stays in the box; each pass keys its masks by the root's
+inner part.
 
 Tree memo key.  The residual is one int with a fixed number of bits per
 coordinate plus a guard bit, so subtracting a root is one subtraction and
@@ -41,9 +58,10 @@ ever widen; a wider field clears that type's memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 from operator import lshift, mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .qpoly import QPolynomial
 from .rootsys import (
@@ -102,6 +120,17 @@ def _limb_bits(heights: Sequence[int], top: int) -> int:
         largest = max(largest, x & mask)
         x >>= wide
     return largest.bit_length()
+
+
+@lru_cache(maxsize=256)
+def _multisets_by_height(heights: tuple[int, ...], top: int) -> int:
+    """The number of multisets of roots, of the heights ``heights``, with
+    total height ``top``: the coefficient of t^top in prod_h 1/(1 - t^h)."""
+    series = [1] + [0] * top
+    for h in heights:
+        for k in range(h, top + 1):
+            series[k] += series[k - h]
+    return series[top]
 
 
 @dataclass(frozen=True)
@@ -179,8 +208,16 @@ def _tree_count_packed(rs: RootSystem, memo: _TreeMemo, target: IntVec) -> int:
     def rec(k: int, res: int) -> int:
         if not res:
             return 1
-        if k == n:
-            return 0
+        # A root that does not fit leaves the count to the roots after it,
+        # so it is skipped without a memo entry; a coordinate that went
+        # negative shows as a cleared guard bit.
+        while True:
+            if k == n:
+                return 0
+            sub = (res | guards) - roots[k]
+            if sub & guards == guards:
+                break
+            k += 1
         key = (res << index_bits) | k
         hit = cache.get(key)
         if hit is not None:
@@ -188,13 +225,11 @@ def _tree_count_packed(rs: RootSystem, memo: _TreeMemo, target: IntVec) -> int:
         root = roots[k]
         total = rec(k + 1, res)  # zero copies of this root
         shift = 0
-        while True:
-            res = (res | guards) - root
-            if res & guards != guards:
-                break  # a coordinate went negative
-            res ^= guards
+        while sub & guards == guards:
+            res = sub ^ guards
             shift += limb
             total += rec(k + 1, res) << shift
+            sub = (res | guards) - root
         cache[key] = total
         return total
 
@@ -256,82 +291,124 @@ def partition_tree_list(rs: RootSystem, xi: Weight) -> list[PartitionMultiset]:
     return out
 
 
-def _genfunc_table(
-    rs: RootSystem, box: IntVec
-) -> Callable[[IntVec], QPolynomial]:
-    """DP table of graded counts for every weight in the box, as a reader
-    from a weight of the box to its count.
+class _GenfuncTable:
+    """Graded counts of every weight in a box, by the slab kernel run twice
+    over one per-root plan (module notes): ``table(v)`` is the graded count
+    of v, ``table.count(v)`` its plain count and ``table.limb`` the limb of
+    the graded pass.  A plain class, as for :class:`_TreeMemo`.
 
     Cell v accumulates, root by root, the coefficient of the monomial of v
     in the truncated product of the series 1 + q x + q^2 x^2 + ... for each
     positive root x; truncation at the box loses nothing for any cell read.
-    The slab layout and the limb bound are described in the module notes.
     """
-    r = rs.rank
-    dims = [b + 1 for b in box]
-    split, inner_cells = r, 1
-    while split and inner_cells * dims[split - 1] <= SLAB_CELLS:
-        split -= 1
-        inner_cells *= dims[split]
-    strides = [0] * r  # outer strides count slabs, inner strides count cells
-    for lo, hi in ((split, r), (0, split)):
-        acc = 1
-        for j in range(hi - 1, lo - 1, -1):
-            strides[j] = acc
-            acc *= dims[j]
-    fitting = [v for v in rs.root_vectors if all(map(int.__le__, v, box))]
-    limb = _limb_bits([sum(v) for v in fitting], sum(box))
-    cell_bits = (sum(box) + 1) * limb
-    cell_mask = (1 << cell_bits) - 1
-    slabs = [0] * prod(dims[:split])
-    slabs[0] = 1
-    masks: dict[IntVec, int] = {}  # inner part of a root -> its mask
-    for root in fitting:
-        inner = root[split:]
-        shift = sum(map(mul, inner, strides[split:])) * cell_bits + limb
-        mask = masks.get(inner)
-        if mask is None:
-            # the cells c of a slab with c + inner still inside the box
-            mask = cell_mask
-            for j in range(r - 1, split - 1, -1):
-                step, row = strides[j] * cell_bits, 0
-                for c in range(dims[j] - root[j]):
-                    row |= mask << (c * step)
-                mask = row
-            masks[inner] = mask
-        off = sum(map(mul, root[:split], strides))
-        if not off:
-            # the root stays inside each slab: apply its whole series there
-            for p, x in enumerate(slabs):
-                t = x
-                while True:
-                    t = (t & mask) << shift
-                    if not t:
-                        break
-                    x += t
-                slabs[p] = x
-            continue
-        positions = [0]
-        for j in range(split):
-            step = strides[j]
-            positions = [
-                p + c * step for p in positions for c in range(dims[j] - root[j])
-            ]
-        if any(inner):
-            for p in positions:
-                slabs[p + off] += (slabs[p] & mask) << shift
-        else:
-            # every cell keeps its slot; a source cell's top limb is empty
-            for p in positions:
-                slabs[p + off] += slabs[p] << shift
 
-    def read(v: IntVec) -> QPolynomial:
+    __slots__ = (
+        "limb", "_split", "_dims", "_strides", "_wide", "_counts", "_cell_bits",
+        "_slabs",
+    )
+
+    def __init__(self, rs: RootSystem, box: IntVec) -> None:
+        r = rs.rank
+        dims = [b + 1 for b in box]
+        split, inner_cells = r, 1
+        while split and inner_cells * dims[split - 1] <= SLAB_CELLS:
+            split -= 1
+            inner_cells *= dims[split]
+        strides = [0] * r  # outer strides count slabs, inner strides count cells
+        for lo, hi in ((split, r), (0, split)):
+            acc = 1
+            for j in range(hi - 1, lo - 1, -1):
+                strides[j] = acc
+                acc *= dims[j]
+        self._split, self._dims, self._strides = split, dims, strides
+        # Per fitting root: its inner part, the cells its inner part steps
+        # over, the slabs its outer part steps over and, for a nonzero outer
+        # part, the outer positions of its sub-box, shared by equal outer parts.
+        plan: list[tuple[IntVec, int, int, Optional[list[int]]]] = []
+        sub_boxes: dict[IntVec, list[int]] = {}
+        for root in rs.root_vectors:
+            if not all(map(int.__le__, root, box)):
+                continue
+            outer, inner = root[:split], root[split:]
+            off = sum(map(mul, outer, strides))
+            positions = sub_boxes.get(outer)
+            if off and positions is None:
+                positions = [0]
+                for j in range(split):
+                    step, n = strides[j], dims[j] - root[j]
+                    positions = [p + c * step for p in positions for c in range(n)]
+                sub_boxes[outer] = positions
+            step = sum(map(mul, inner, strides[split:]))
+            plan.append((inner, step, off, positions))
+        top = sum(box)
+        heights = tuple(map(sum, rs.root_vectors))
+        self._wide = _multisets_by_height(heights, top).bit_length()
+        self._counts = self._run(plan, self._wide, 0)
+        self.limb = self.count(box).bit_length()
+        self._cell_bits = (top + 1) * self.limb
+        self._slabs = self._run(plan, self._cell_bits, self.limb)
+
+    def _run(
+        self,
+        plan: list[tuple[IntVec, int, int, Optional[list[int]]]],
+        cell_bits: int,
+        qshift: int,
+    ) -> list[int]:
+        """One pass of the kernel with cells ``cell_bits`` wide; each copy of
+        a root moves a count ``qshift`` bits up (one limb in the graded
+        pass, none in the plain one)."""
+        split, dims, strides = self._split, self._dims, self._strides
+        r = len(dims)
+        cell_mask = (1 << cell_bits) - 1
+        slabs = [0] * prod(dims[:split])
+        slabs[0] = 1
+        masks: dict[IntVec, int] = {}  # inner part of a root -> its mask
+        for inner, step, off, positions in plan:
+            shift = step * cell_bits + qshift
+            if not step:
+                # every cell keeps its slot; a graded source cell's top limb
+                # is empty, since its degree is below H
+                for p in positions:
+                    slabs[p + off] += slabs[p] << shift
+                continue
+            mask = masks.get(inner)
+            if mask is None:
+                # the cells c of a slab with c + inner still inside the box
+                mask = cell_mask
+                for j in range(r - 1, split - 1, -1):
+                    row_step, row = strides[j] * cell_bits, 0
+                    for c in range(dims[j] - inner[j - split]):
+                        row |= mask << (c * row_step)
+                    mask = row
+                masks[inner] = mask
+            if positions is None:
+                # the root stays inside each slab: apply its whole series there
+                for p, x in enumerate(slabs):
+                    t = x
+                    while True:
+                        t = (t & mask) << shift
+                        if not t:
+                            break
+                        x += t
+                    slabs[p] = x
+            else:
+                for p in positions:
+                    slabs[p + off] += (slabs[p] & mask) << shift
+        return slabs
+
+    def _cell(self, slabs: list[int], v: IntVec, cell_bits: int) -> int:
+        split, strides = self._split, self._strides
         p = sum(map(mul, v[:split], strides))
         c = sum(map(mul, v[split:], strides[split:]))
-        cell = (slabs[p] >> (c * cell_bits)) & cell_mask
-        return QPolynomial.from_packed(cell, limb)
+        return (slabs[p] >> (c * cell_bits)) & ((1 << cell_bits) - 1)
 
-    return read
+    def count(self, v: IntVec) -> int:
+        """The number of partitions of v, from the plain pass."""
+        return self._cell(self._counts, v, self._wide)
+
+    def __call__(self, v: IntVec) -> QPolynomial:
+        cell = self._cell(self._slabs, v, self._cell_bits)
+        return QPolynomial.from_packed(cell, self.limb)
 
 
 def partition_genfunc(rs: RootSystem, xi: Weight) -> QPolynomial:
@@ -339,7 +416,7 @@ def partition_genfunc(rs: RootSystem, xi: Weight) -> QPolynomial:
     target = _as_int_vec(rs, xi)
     if target is None:
         return QPolynomial.zero()
-    return _genfunc_table(rs, target)(target)
+    return _GenfuncTable(rs, target)(target)
 
 
 def partition_genfunc_batch(
@@ -355,7 +432,7 @@ def partition_genfunc_batch(
     if not live:
         return [QPolynomial.zero()] * len(targets)
     box = tuple(max(t[j] for t in live) for j in range(rs.rank))
-    read = _genfunc_table(rs, box)
+    read = _GenfuncTable(rs, box)
     return [QPolynomial.zero() if t is None else read(t) for t in targets]
 
 

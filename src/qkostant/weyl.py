@@ -15,7 +15,8 @@ is a descent of M s_i.  :func:`_walk` searches that tree one length layer at
 a time, so every element is met exactly once, in (length, canonical word)
 order, carrying its word, with no visited set.  Enumerating the group,
 counting it and finding an alternation set are all this one walk; the last
-prunes each rejected child together with its subtree.
+carries xi from parent to child in O(rank) and prunes each rejected child,
+before building its matrix, together with its subtree.
 """
 
 from __future__ import annotations
@@ -23,11 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .qpoly import QPolynomial
-from .rootsys import IntVec, Matrix, RootSystem, Weight
+from .rootsys import (
+    IntVec,
+    Matrix,
+    RootSystem,
+    Weight,
+    WeightClass,
+    classify_weight,
+)
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
 
@@ -62,18 +69,24 @@ def _rmul_simple(cartan: Matrix, m: Matrix, i: int) -> Matrix:
 
 
 def _walk(
-    rs: RootSystem, keep: Optional[Callable[[Matrix], bool]] = None
-) -> Iterator[tuple[Matrix, tuple[int, ...]]]:
-    """Yield (matrix, canonical word) down the canonical-word tree, one
-    length layer at a time; an element failing ``keep`` is dropped together
-    with its subtree (the root included)."""
+    rs: RootSystem,
+    keep: Optional[Callable[[Matrix, Any, int], Any]] = None,
+    payload: Any = None,
+) -> Iterator[tuple[Matrix, tuple[int, ...], Any]]:
+    """Yield (matrix, canonical word, payload) down the canonical-word tree,
+    one length layer at a time, from the identity carrying ``payload``.
+
+    ``keep(m, data, i)`` gets the matrix and payload of a node and the index
+    of a child m s_{i+1}; it returns the child's payload, or None to drop
+    the child together with its subtree.  A child's matrix is built only
+    once it is kept.  Without ``keep`` every payload is None.
+    """
     cartan, r = rs.cartan, rs.rank
-    ident = _identity(r)
-    layer = [(ident, ())] if keep is None or keep(ident) else []
+    layer = [(_identity(r), (), payload)]
     while layer:
         yield from layer
         nxt = []
-        for m, word in layer:
+        for m, word, data in layer:
             # h[j] is the height of the root m(alpha_j), whose sign is that of
             # column j; m s_i sends alpha_j to a root of height h[j] - a_ij h[i].
             h = [sum(col) for col in zip(*m)]
@@ -81,9 +94,12 @@ def _walk(
                 hi = h[i]
                 if hi < 0 or any(h[j] < a[j] * hi for j in range(i)):
                     continue
-                m2 = _rmul_simple(cartan, m, i)
-                if keep is None or keep(m2):
-                    nxt.append((m2, word + (i + 1,)))
+                child = None
+                if keep is not None:
+                    child = keep(m, data, i)
+                    if child is None:
+                        continue
+                nxt.append((_rmul_simple(cartan, m, i), word + (i + 1,), child))
         layer = nxt
 
 
@@ -168,7 +184,7 @@ def enumerate_group(
     carrying its canonical word.  Refuses to start when the known group
     order exceeds ``max_order``."""
     _check_order(rs, max_order)
-    return [WeylElement(rs.cartan, m, word) for m, word in _walk(rs)]
+    return [WeylElement(rs.cartan, m, word) for m, word, _ in _walk(rs)]
 
 
 def group_order_bfs(rs: RootSystem, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
@@ -216,33 +232,23 @@ def alternation_set(
             f"coroot pairings ({', '.join(map(str, pairings))}) must be "
             "nonnegative integers"
         )
-    target = lam + rs.rho
-    shift = rs.rho + mu
+    # The admitted subtree is rooted at the identity, whose xi is lam - mu.
+    # xi(sigma s_i) = xi(sigma) - <lam+rho, alpha_i^vee> sigma(alpha_i), read
+    # off column i of sigma's matrix, is an integer step: integrality is
+    # settled at the root, and a child needs only the sign test.
+    xi = lam - mu
+    if classify_weight(xi) is not WeightClass.NONNEGATIVE_INTEGRAL:
+        return []
+    steps = [int(p) + 1 for p in pairings]  # <lam+rho, alpha_i^vee>
 
-    # Work over scaled integers: exact, and much faster than Fractions.
-    den = 1
-    for c in (*target.coeffs, *shift.coeffs):
-        den = lcm(den, c.denominator)
-    tv = tuple(int(c * den) for c in target.coeffs)
-    sv = tuple(int(c * den) for c in shift.coeffs)
-    r = rs.rank
-
-    def xi_of(m: Matrix) -> IntVec:
-        return tuple(
-            sum(row[j] * tv[j] for j in range(r)) - sv[k]
-            for k, row in enumerate(m)
-        )
-
-    def admissible(m: Matrix) -> bool:
-        if den == 1:
-            return all(v >= 0 for v in xi_of(m))
-        return all(v >= 0 and v % den == 0 for v in xi_of(m))
+    def keep(m: Matrix, parent: IntVec, i: int) -> Optional[IntVec]:
+        step = steps[i]
+        child = tuple(x - step * row[i] for x, row in zip(parent, m))
+        return child if min(child) >= 0 else None
 
     return [
         AlternationRecord(
-            WeylElement(rs.cartan, m, word),
-            Weight(v // den for v in xi_of(m)),
-            -1 if len(word) % 2 else 1,
+            WeylElement(rs.cartan, m, word), Weight(v), -1 if len(word) % 2 else 1
         )
-        for m, word in _walk(rs, admissible)
+        for m, word, v in _walk(rs, keep, xi.int_coeffs())
     ]

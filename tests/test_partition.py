@@ -17,10 +17,27 @@ from qkostant import (
     partition_tree_count,
     partition_tree_list,
 )
-from qkostant.partition import _genfunc_table, _limb_bits
+from qkostant.partition import _TREE_CACHES, _GenfuncTable, _limb_bits
 from support import brute_force_pq
 
 G2 = build_root_system("G2")
+
+# Boxes checked against the brute-force oracle: (type, xi)
+ORACLE_CASES = [
+    ("G2", (2, 2)),
+    ("G2", (3, 2)),
+    ("A2", (2, 3)),
+    ("B2", (3, 3)),
+    ("B3", (1, 2, 2)),
+    ("C3", (2, 2, 1)),
+    ("A3", (2, 2, 2)),
+    ("A1", (5,)),  # rank 1
+    ("A1", (70,)),  # no inner axes: a slab per cell
+    ("G2", (0, 4)),  # a zero coordinate
+    ("B2", (7, 7)),  # the inner suffix is the whole box, 64 cells
+    ("B3", (3, 4, 3)),  # 80 cells: one outer axis
+    ("A3", (0, 0, 0)),  # the zero box: one cell, a 1-bit limb
+]
 
 
 class TestQPolynomial:
@@ -80,6 +97,19 @@ class TestTreeCount:
         pq = partition_tree_count(rs, Weight([0, 3, 2, 0]))
         assert pq.text() == "2q^3 + q^4 + q^5"
 
+    def test_memo_skips_roots_that_do_not_fit(self):
+        rs = build_root_system("B3")
+        partition_tree_count(rs, Weight([3, 4, 3]))
+        memo = _TREE_CACHES[rs.lie_type]
+        n = len(rs.root_vectors)
+        index_bits, width = n.bit_length(), memo.bits + 1
+        field = (1 << memo.bits) - 1
+        assert memo.table
+        for key in memo.table:
+            k, res = key & ((1 << index_bits) - 1), key >> index_bits
+            coords = [(res >> (j * width)) & field for j in range(rs.rank)]
+            assert all(map(int.__ge__, coords, rs.root_vectors[k]))
+
 
 class TestGenfunc:
     def test_g2_worked_example(self):
@@ -96,11 +126,13 @@ class TestGenfunc:
     def test_e8_theta_box_limb_covers_every_cell(self):
         rs = build_root_system("E8")
         box = tuple(int(c) for c in rs.highest_root)
-        read = _genfunc_table(rs, box)
+        read = _GenfuncTable(rs, box)
         limb = _limb_bits([sum(v) for v in rs.root_vectors], sum(box))
         cells = list(itertools.product(*(range(b + 1) for b in box)))
         widest = max(c.bit_length() for v in cells for c in read(v).coeffs)
         assert (limb, widest) == (35, 21)
+        # genfunc proves its limb from p(theta), the plain count of the box
+        assert read.limb == read(box).at_one().bit_length() == 24
         low = [v for v in cells if sum(v) <= 12]
         for v in Random(8).sample(low, 25):
             assert read(v) == partition_tree_count(rs, Weight(v))
@@ -189,26 +221,25 @@ class TestAlgorithmAgreement:
                 assert partition_tree_count(rs, xi) == partition_genfunc(rs, xi)
 
     def test_brute_force_oracle(self):
-        cases = [
-            ("G2", (2, 2)),
-            ("G2", (3, 2)),
-            ("A2", (2, 3)),
-            ("B2", (3, 3)),
-            ("B3", (1, 2, 2)),
-            ("C3", (2, 2, 1)),
-            ("A3", (2, 2, 2)),
-            ("A1", (5,)),  # rank 1
-            ("A1", (70,)),  # no inner axes: a slab per cell
-            ("G2", (0, 4)),  # a zero coordinate
-            ("B2", (7, 7)),  # the inner suffix is the whole box, 64 cells
-            ("B3", (3, 4, 3)),  # 80 cells: one outer axis
-        ]
-        for name, xi in cases:
+        for name, xi in ORACLE_CASES:
             rs = build_root_system(name)
             expected = QPolynomial(brute_force_pq(rs.root_vectors, xi))
             w = Weight(xi)
             assert partition_tree_count(rs, w) == expected
             assert partition_genfunc(rs, w) == expected
+
+    def test_graded_pass_sums_to_plain_pass(self):
+        # every cell's graded count at q = 1 is the plain pass's count, and
+        # the limb is the bit length of the plain count of the whole box
+        boxes = [(build_root_system(name), xi) for name, xi in ORACLE_CASES]
+        e7 = build_root_system("E7")
+        boxes.append((e7, tuple(int(c) for c in e7.highest_root)))
+        for rs, box in boxes:
+            table = _GenfuncTable(rs, box)
+            assert table.limb == table.count(box).bit_length()
+            for v in itertools.product(*(range(b + 1) for b in box)):
+                assert table(v).at_one() == table.count(v)
+        assert _GenfuncTable(build_root_system("A3"), (0, 0, 0)).limb == 1
 
 
 class TestInvariants:
