@@ -11,6 +11,9 @@ Subcommands::
 Weights are comma-separated coefficient lists (fractions like 3/2 allowed),
 read in the simple-root basis by default or in the fundamental-weight basis
 with ``--basis omega``.  Output formats: text (default), json, csv, latex.
+Counts come from the generating-function kernel; ``partition --method tree``
+asks the tree kernel instead.  ``verify`` takes Lie types, ``--format``,
+``--out`` and ``--max-group-order``.
 """
 
 from __future__ import annotations
@@ -237,7 +240,7 @@ def _cmd_mult(args: argparse.Namespace) -> int:
     rs = build_root_system(_resolve_type(args))
     lam = _input_weight(rs, args.lam, args.basis) if args.lam else None
     mu = _input_weight(rs, args.mu, args.basis) if args.mu else None
-    result = compute_mq(rs, lam, mu, method=args.method)
+    result = compute_mq(rs, lam, mu)
     if args.format == "json":
         _emit(json.dumps(_mult_payload(result), indent=2), args)
     elif args.format == "csv":
@@ -265,9 +268,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(str(exc)) from None
         rs = build_root_system(t)
         reports.append(
-            verify_exponents(
-                rs, method=args.method, enumerate_order_limit=args.max_group_order
-            )
+            verify_exponents(rs, enumerate_order_limit=args.max_group_order)
         )
     all_ok = all(r.ok for r in reports)
 
@@ -371,21 +372,20 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--type", dest="type_flag", metavar="TYPE")
     common.add_argument(
-        "--method", choices=("tree", "genfunc"), default="genfunc"
-    )
-    common.add_argument(
         "--format", choices=("text", "json", "csv", "latex"), default="text"
     )
-    common.add_argument("--basis", choices=("alpha", "omega"), default="alpha")
     common.add_argument("--out", metavar="FILE")
 
+    # one type and weights: every subcommand but verify
     typed = argparse.ArgumentParser(add_help=False)
     typed.add_argument("type_pos", nargs="?", metavar="TYPE")
+    typed.add_argument("--basis", choices=("alpha", "omega"), default="alpha")
 
     p_part = sub.add_parser(
         "partition", parents=[typed, common], help="graded partition count"
     )
     p_part.add_argument("--xi", metavar="COEFFS", required=True)
+    p_part.add_argument("--method", choices=("tree", "genfunc"), default="genfunc")
 
     p_list = sub.add_parser(
         "list-partitions",
@@ -393,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit partitions of a weight",
     )
     p_list.add_argument("--xi", metavar="COEFFS", required=True)
+    p_list.set_defaults(method="genfunc")
 
     for name, help_text in (
         ("altset", "contributing Weyl elements"),

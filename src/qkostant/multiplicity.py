@@ -39,8 +39,6 @@ from .weyl import (
     group_order_bfs,
 )
 
-METHODS = ("tree", "genfunc")
-
 # External reference data for the exceptional types: exponents, and the
 # published sizes of the adjoint zero-weight alternation sets and Weyl
 # groups.  Two entries disagree with what the definitions force and are
@@ -111,14 +109,14 @@ def _signed_fold(records: Sequence[AlternationRecord]) -> list[int]:
 
 
 def _fill_pq(
-    rs: RootSystem, records: Sequence[AlternationRecord], method: str
+    rs: RootSystem, records: Sequence[AlternationRecord], method: str = "genfunc"
 ) -> list[AlternationRecord]:
     if method == "genfunc":
         pqs = partition_genfunc_batch(rs, [rec.xi for rec in records])
     elif method == "tree":
         pqs = [partition_tree_count(rs, rec.xi) for rec in records]
     else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise ValueError(f"unknown method {method!r}; expected 'tree' or 'genfunc'")
     return [rec.with_pq(pq) for rec, pq in zip(records, pqs)]
 
 
@@ -130,6 +128,8 @@ def compute_mq(
 ) -> MultiplicityResult:
     """q-analog multiplicity of mu in the highest-weight representation of
     lam, from the alternation set; defaults are the highest root and zero.
+    ``method`` picks the partition kernel: "genfunc" (one table for every
+    record) or "tree" (the memoised recursion, kept as a cross-check).
 
     lam must be dominant integral (ValueError otherwise).  Unless mu is
     dominant too, the polynomial may have negative coefficients.
@@ -161,17 +161,15 @@ def compute_m(
     rs: RootSystem,
     lam: Optional[Weight] = None,
     mu: Optional[Weight] = None,
-    method: str = "genfunc",
 ) -> int:
     """Plain weight multiplicity: the q-analog evaluated at q = 1."""
-    return compute_mq(rs, lam, mu, method).m
+    return compute_mq(rs, lam, mu).m
 
 
 def full_group_mq(
     rs: RootSystem,
     lam: Optional[Weight] = None,
     mu: Optional[Weight] = None,
-    method: str = "genfunc",
     elements: Optional[Sequence[WeylElement]] = None,
     max_order: int = DEFAULT_MAX_GROUP_ORDER,
 ) -> QPolynomial:
@@ -195,8 +193,7 @@ def full_group_mq(
         AlternationRecord(e, xi, -1 if e.length % 2 else 1)
         for e, xi in contributing
     ]
-    records = _fill_pq(rs, records, method)
-    return QPolynomial(_signed_fold(records))
+    return QPolynomial(_signed_fold(_fill_pq(rs, records)))
 
 
 @dataclass(frozen=True)
@@ -233,19 +230,16 @@ class ExponentReport:
         return all(checks)
 
 
-def verify_exponents(
-    rs: RootSystem,
-    method: str = "genfunc",
-    enumerate_order_limit: int = 0,
-) -> ExponentReport:
-    """Check that the adjoint zero-weight q-multiplicity lists the exponents.
+def verify_exponents(rs: RootSystem, enumerate_order_limit: int = 0) -> ExponentReport:
+    """Check that the adjoint zero-weight q-multiplicity, by the genfunc
+    kernel, lists the exponents.
 
     When ``enumerate_order_limit`` is positive and at least the known group
     order, the group is also counted by walking it and compared against the
     closed form.  Mismatches are reported in the returned record, never raised.
     """
     started = time.perf_counter()
-    result = compute_mq(rs, method=method)
+    result = compute_mq(rs)
     reference = reference_exponents(rs.lie_type)
     exponents = result.mq.exponent_multiset()
     identity_holds = exponents == tuple(sorted(reference))

@@ -14,9 +14,13 @@ Two independent algorithms produce the same graded count:
   dynamic program over the exponent box [0, xi_1] x ... x [0, xi_r].
 
 Both kernels hold graded counts packed into big integers, a coefficient per
-limb of L bits (see qpoly).  L is proven, not guessed.  Every value a
-kernel holds in place of weight v counts a subset of the partitions of v,
-so it is at most p(v), the number of partitions of v.
+limb of L bits (see qpoly).  L is proven, not guessed, by one bound.  Every
+value a kernel holds in place of weight v counts a subset of the partitions
+of v, so it is at most p(v), the number of partitions of v.  A partition of
+v is a multiset of roots of total height ht(v), and adding a root of height
+1 maps the multisets of one height one-to-one into those one higher; so
+p(v) <= M(h) for every h >= ht(v), M(h) the number of multisets of roots of
+total height h (:func:`_multisets_by_height`).
 
 * Genfunc proves L per box from the exact count.  Every simple root
   alpha_j with box_j >= 1 fits the box, so adding the simple roots of
@@ -24,16 +28,10 @@ so it is at most p(v), the number of partitions of v.
   p(v) <= p(box) for every cell v, and L = p(box).bit_length() holds every
   coefficient.  p(box) comes from a first, plain pass of the same kernel,
   one limb per cell and no q grading (24 bits on the E8 theta box, whose
-  largest graded coefficient has 21).  The plain pass's own limb is
-  bounded the same way by the number of multisets of roots of total height
-  ht(box) (:func:`_multisets_by_height`): a partition of v is such a
-  multiset of height ht(v), and adding a root of height 1 maps multisets of
-  one height one-to-one into those one higher.
+  largest graded coefficient has 21); that pass's own limb is M(ht(box)).
 
-* The tree method bounds a coefficient, the partitions into i roots, by
-  the multisets of i roots of total height ht(v), which gives the largest
-  coefficient of prod_beta 1/(1 - q t^ht(beta)) up to t^H, H the largest
-  height its memo can hold; :func:`_limb_bits` computes its bit length.
+* The tree memo takes L = M(H).bit_length(), H the largest height its
+  residual field can hold, so L covers every residual in the memo.
 
 Genfunc slab layout.  The box axes split into outer axes and an inner
 suffix, the longest run of trailing axes with at most ``SLAB_CELLS`` cells.
@@ -59,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
+from math import prod
 from operator import lshift, mul
 from typing import Optional, Sequence
 
@@ -96,30 +94,6 @@ class _TreeMemo:
 # calls and grows with the weights actually visited.
 _TREE_CACHES: dict[LieType, _TreeMemo] = {}
 _TREE_CACHE_LIMIT = 4_000_000
-
-
-def _limb_bits(heights: Sequence[int], top: int) -> int:
-    """Bit length of the largest coefficient of prod_h 1/(1 - q t^h) up to
-    t^top, for the root heights ``heights``: a limb this wide holds any
-    graded count of a weight of height at most ``top`` exactly.
-
-    The series is built as a packed 1-D DP over t.  Its own limb is proven
-    by the cruder bound comb(n + top, top) on the multisets of at most top
-    of the n roots.  Only the t^top term is read: when top > 0 some root
-    has height 1, and adding it maps the multisets of each term injectively
-    into the term one height up.
-    """
-    wide = comb(len(heights) + top, top).bit_length()
-    series = [1] + [0] * top
-    for h in heights:
-        for k in range(h, top + 1):
-            series[k] += series[k - h] << wide
-    mask = (1 << wide) - 1
-    x, largest = series[top], 1
-    while x:
-        largest = max(largest, x & mask)
-        x >>= wide
-    return largest.bit_length()
 
 
 @lru_cache(maxsize=256)
@@ -181,14 +155,14 @@ def _tree_memo(rs: RootSystem, target: IntVec) -> _TreeMemo:
     """The memo of the type, widened first if ``target`` needs more bits.
 
     The field also holds every root coordinate, so a root never borrows
-    past a guard bit.  The limb is proven at the largest height the field
-    can hold, rank * (2**bits - 1), which covers every residual in the memo.
+    past a guard bit.  The limb is proven (module notes) at the largest
+    height the field can hold, rank * (2**bits - 1).
     """
     bits = max(max(target), max(map(max, rs.root_vectors))).bit_length()
     memo = _TREE_CACHES.get(rs.lie_type)
     if memo is None or memo.bits < bits:
-        heights = [sum(v) for v in rs.root_vectors]
-        limb = _limb_bits(heights, rs.rank * ((1 << bits) - 1))
+        heights, top = tuple(map(sum, rs.root_vectors)), rs.rank * ((1 << bits) - 1)
+        limb = _multisets_by_height(heights, top).bit_length()
         memo = _TREE_CACHES[rs.lie_type] = _TreeMemo(bits, limb)
     elif len(memo.table) > _TREE_CACHE_LIMIT:
         memo.table.clear()
@@ -436,11 +410,7 @@ def partition_genfunc_batch(
     return [QPolynomial.zero() if t is None else read(t) for t in targets]
 
 
-def kostant_partition(rs: RootSystem, xi: Weight, method: str = "genfunc") -> int:
+def kostant_partition(rs: RootSystem, xi: Weight) -> int:
     """Number of ways to write ``xi`` as a nonnegative integral combination
-    of positive roots (the graded count evaluated at q = 1)."""
-    if method == "tree":
-        return partition_tree_count(rs, xi).at_one()
-    if method == "genfunc":
-        return partition_genfunc(rs, xi).at_one()
-    raise ValueError(f"unknown method {method!r}; expected 'tree' or 'genfunc'")
+    of positive roots: the generating-function count at q = 1."""
+    return partition_genfunc(rs, xi).at_one()

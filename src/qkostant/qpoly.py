@@ -53,15 +53,11 @@ class QPolynomial:
         return cls()
 
     @classmethod
-    def one(cls) -> "QPolynomial":
-        return cls((1,))
-
-    @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "QPolynomial":
         return cls((0,) * power + (coeff,))
 
     @classmethod
-    def from_packed(cls, packed: int, bits: int = 64) -> "QPolynomial":
+    def from_packed(cls, packed: int, bits: int) -> "QPolynomial":
         """Decode a nonnegative coefficient vector packed ``bits`` per limb."""
         if packed < 0:
             raise ValueError("packed polynomials are nonnegative")
@@ -72,7 +68,7 @@ class QPolynomial:
             packed >>= bits
         return cls(cs)
 
-    def pack(self, bits: int = 64) -> int:
+    def pack(self, bits: int) -> int:
         """Inverse of :meth:`from_packed`; every coefficient must be
         nonnegative and below ``2**bits``."""
         n = 0

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Matrix = tuple[tuple[int, ...], ...]
 IntVec = tuple[int, ...]
+Rational = Union[int, Fraction]  # an int equals and hashes as its Fraction
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -78,8 +79,10 @@ class WeightClass(Enum):
     HAS_FRACTION = "has-fraction"
 
 
-def _frac(x: Union[int, str, Fraction]) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _frac(x: Union[int, str, Fraction]) -> Rational:
+    """An int or a Fraction as it is, anything else (such as "3/2") as a
+    Fraction."""
+    return x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
 
 
 class Weight:
@@ -93,7 +96,7 @@ class Weight:
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
 
     def __init__(self, coeffs: Iterable[Union[int, str, Fraction]]) -> None:
         object.__setattr__(self, "coeffs", tuple(_frac(c) for c in coeffs))
@@ -108,10 +111,10 @@ class Weight:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator[Rational]:
         return iter(self.coeffs)
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> Rational:
         return self.coeffs[i]
 
     def _check(self, other: "Weight") -> None:

@@ -211,3 +211,20 @@ class TestUsageErrors:
     def test_verify_without_types(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mult", "G2", "--method", "tree"],
+            ["altset", "G2", "--method", "tree"],
+            ["verify", "G2", "--method", "tree"],
+            ["list-partitions", "G2", "--xi", "2,2", "--method", "tree"],
+            ["verify", "G2", "--basis", "omega"],
+        ],
+    )
+    def test_option_not_offered(self, capsys, argv):
+        # only partition offers --method, and verify takes no --basis
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

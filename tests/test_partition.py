@@ -17,7 +17,7 @@ from qkostant import (
     partition_tree_count,
     partition_tree_list,
 )
-from qkostant.partition import _TREE_CACHES, _GenfuncTable, _limb_bits
+from qkostant.partition import _TREE_CACHES, _GenfuncTable, _multisets_by_height
 from support import brute_force_pq
 
 G2 = build_root_system("G2")
@@ -55,8 +55,10 @@ class TestQPolynomial:
 
     def test_pack_round_trip(self):
         p = QPolynomial([3, 0, 7, 1])
-        assert QPolynomial.from_packed(p.pack()) == p
-        assert QPolynomial.from_packed(0).is_zero()
+        assert QPolynomial.from_packed(p.pack(3), 3) == p
+        assert QPolynomial.from_packed(0, 3).is_zero()
+        with pytest.raises(ValueError):
+            p.pack(2)
 
     def test_rendering(self):
         p = QPolynomial([0, 1, 2, 2, 1, 1])
@@ -127,19 +129,24 @@ class TestGenfunc:
         rs = build_root_system("E8")
         box = tuple(int(c) for c in rs.highest_root)
         read = _GenfuncTable(rs, box)
-        limb = _limb_bits([sum(v) for v in rs.root_vectors], sum(box))
         cells = list(itertools.product(*(range(b + 1) for b in box)))
         widest = max(c.bit_length() for v in cells for c in read(v).coeffs)
-        assert (limb, widest) == (35, 21)
+        assert widest == 21
         # genfunc proves its limb from p(theta), the plain count of the box
         assert read.limb == read(box).at_one().bit_length() == 24
         low = [v for v in cells if sum(v) <= 12]
         for v in Random(8).sample(low, 25):
             assert read(v) == partition_tree_count(rs, Weight(v))
+        # the tree memo's limb: the multisets of roots at the largest height
+        # its residual field holds
+        memo = _TREE_CACHES[rs.lie_type]
+        heights = tuple(sum(v) for v in rs.root_vectors)
+        top = rs.rank * ((1 << memo.bits) - 1)
+        assert memo.limb == _multisets_by_height(heights, top).bit_length() >= widest
 
     def test_limb_bound_past_32_bits(self):
-        # E8 root heights up to t^56: the packed series against plain lists
-        heights = [sum(v) for v in build_root_system("E8").root_vectors]
+        # E8 root heights up to t^56: the multiset count against graded lists
+        heights = tuple(sum(v) for v in build_root_system("E8").root_vectors)
         top = 56
         series = [[1]] + [[] for _ in range(top)]
         for h in heights:
@@ -148,9 +155,9 @@ class TestGenfunc:
                 cur.extend([0] * (len(low) + 1 - len(cur)))
                 for i, c in enumerate(low):
                     cur[i + 1] += c
-        largest = max(c for poly in series for c in poly)
-        assert largest.bit_length() > 32
-        assert _limb_bits(heights, top) == largest.bit_length()
+        count = sum(series[top])
+        assert count.bit_length() > 32
+        assert _multisets_by_height(heights, top) == count
 
     def test_batch_matches_singles(self):
         rs = build_root_system("B3")
@@ -280,11 +287,7 @@ class TestInvariants:
 
 class TestKostantPartition:
     def test_values(self):
-        assert kostant_partition(G2, Weight([2, 2]), "tree") == 4
-        assert kostant_partition(G2, Weight([2, 2]), "genfunc") == 4
+        assert partition_tree_count(G2, Weight([2, 2])).at_one() == 4
+        assert kostant_partition(G2, Weight([2, 2])) == 4
         assert kostant_partition(G2, Weight([0, 0])) == 1
         assert kostant_partition(G2, Weight([3, 0])) == 1
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            kostant_partition(G2, Weight([1, 1]), "magic")
