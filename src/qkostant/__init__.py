@@ -7,10 +7,8 @@ from .rootsys import (
     LieType,
     RootSystem,
     Weight,
-    WeightClass,
     build_root_system,
     cartan_matrix,
-    classify_weight,
     weyl_group_order,
 )
 from .weyl import (
@@ -55,14 +53,12 @@ __all__ = [
     "QPolynomial",
     "RootSystem",
     "Weight",
-    "WeightClass",
     "WeylElement",
     "alternation_set",
     "apply",
     "build_root_system",
     "canonical_word",
     "cartan_matrix",
-    "classify_weight",
     "compute_m",
     "compute_mq",
     "enumerate_group",

@@ -445,7 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except ValueError as exc:  # UsageError included
+    except (ValueError, OSError) as exc:  # UsageError; an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,13 +22,7 @@ from typing import Optional, Sequence, Union
 
 from .partition import partition_genfunc_batch, partition_tree_count
 from .qpoly import QPolynomial
-from .rootsys import (
-    LieType,
-    RootSystem,
-    Weight,
-    WeightClass,
-    classify_weight,
-)
+from .rootsys import LieType, RootSystem, Weight
 from .weyl import (
     DEFAULT_MAX_GROUP_ORDER,
     AlternationRecord,
@@ -93,21 +87,6 @@ class MultiplicityResult:
     method: str
 
 
-def _signed_fold(records: Sequence[AlternationRecord]) -> list[int]:
-    acc: list[int] = []
-    for rec in records:
-        cs = rec.pq.coeffs
-        if len(acc) < len(cs):
-            acc.extend([0] * (len(cs) - len(acc)))
-        if rec.sign > 0:
-            for i, c in enumerate(cs):
-                acc[i] += c
-        else:
-            for i, c in enumerate(cs):
-                acc[i] -= c
-    return acc
-
-
 def _fill_pq(
     rs: RootSystem, records: Sequence[AlternationRecord], method: str = "genfunc"
 ) -> list[AlternationRecord]:
@@ -117,7 +96,10 @@ def _fill_pq(
         pqs = [partition_tree_count(rs, rec.xi) for rec in records]
     else:
         raise ValueError(f"unknown method {method!r}; expected 'tree' or 'genfunc'")
-    return [rec.with_pq(pq) for rec, pq in zip(records, pqs)]
+    return [
+        AlternationRecord(rec.element, rec.xi, rec.sign, pq)
+        for rec, pq in zip(records, pqs)
+    ]
 
 
 def compute_mq(
@@ -137,15 +119,16 @@ def compute_mq(
     lam = rs.highest_root if lam is None else lam
     mu = rs.zero_weight() if mu is None else mu
     records = _fill_pq(rs, alternation_set(rs, lam, mu), method)
-    acc = _signed_fold(records)
+    mq = sum(
+        (rec.pq if rec.sign > 0 else -rec.pq for rec in records), QPolynomial.zero()
+    )
     # Nonnegativity is a theorem only for dominant lam and mu (Kato 1982,
     # Lusztig 1983); alternation_set has already rejected a non-dominant lam.
-    if any(c < 0 for c in acc) and rs.is_dominant(mu):
+    if any(c < 0 for c in mq.coeffs) and rs.is_dominant(mu):
         raise RuntimeError(
             f"negative coefficient in m_q({lam!r}, {mu!r}) over {rs.lie_type}: "
-            f"{acc} -- this indicates a bug"
+            f"{list(mq.coeffs)} -- this indicates a bug"
         )
-    mq = QPolynomial(acc)
     return MultiplicityResult(
         lie_type=rs.lie_type,
         lam=lam,
@@ -176,7 +159,9 @@ def full_group_mq(
     """The same polynomial summed over the whole Weyl group (no pruning).
 
     Exists as the independent cross-check of the alternation-set route;
-    only feasible for groups small enough to enumerate.
+    only feasible for groups small enough to enumerate.  Every
+    xi = sigma(lam+rho)-(rho+mu) goes to the partition kernel unfiltered:
+    one that is not a nonnegative integral vector counts as zero there.
     """
     lam = rs.highest_root if lam is None else lam
     mu = rs.zero_weight() if mu is None else mu
@@ -184,16 +169,11 @@ def full_group_mq(
         elements = enumerate_group(rs, max_order)
     target = lam + rs.rho
     shift = rs.rho + mu
-    contributing: list[tuple[WeylElement, Weight]] = []
-    for e in elements:
-        xi = apply(e, target) - shift
-        if classify_weight(xi) is WeightClass.NONNEGATIVE_INTEGRAL:
-            contributing.append((e, xi))
-    records = [
-        AlternationRecord(e, xi, -1 if e.length % 2 else 1)
-        for e, xi in contributing
-    ]
-    return QPolynomial(_signed_fold(_fill_pq(rs, records)))
+    pqs = partition_genfunc_batch(rs, [apply(e, target) - shift for e in elements])
+    return sum(
+        (-pq if e.length % 2 else pq for e, pq in zip(elements, pqs) if pq),
+        QPolynomial.zero(),
+    )
 
 
 @dataclass(frozen=True)

@@ -62,14 +62,7 @@ from operator import lshift, mul
 from typing import Optional, Sequence
 
 from .qpoly import QPolynomial
-from .rootsys import (
-    IntVec,
-    LieType,
-    RootSystem,
-    Weight,
-    WeightClass,
-    classify_weight,
-)
+from .rootsys import IntVec, LieType, RootSystem, Weight
 
 # Cells per genfunc slab.  64 was fastest on the E8 adjoint box and on
 # small boxes alike; 256 was two to three times slower on small boxes.
@@ -146,9 +139,7 @@ def _as_int_vec(rs: RootSystem, xi: Weight) -> Optional[IntVec]:
     """Integer coefficients of xi, or None when it cannot be partitioned."""
     if len(xi) != rs.rank:
         raise ValueError(f"expected rank {rs.rank}, got weight of length {len(xi)}")
-    if classify_weight(xi) is not WeightClass.NONNEGATIVE_INTEGRAL:
-        return None
-    return xi.int_coeffs()
+    return xi.nonnegative_ints()
 
 
 def _tree_memo(rs: RootSystem, target: IntVec) -> _TreeMemo:
@@ -399,15 +390,16 @@ def partition_genfunc_batch(
     """Graded counts for many weights from one table over their joint box.
 
     The box is the componentwise maximum of the partitionable inputs; every
-    other input short-circuits to zero exactly as in the single-shot call.
+    other input gets the zero polynomial, one object shared by all of them.
     """
     targets = [_as_int_vec(rs, xi) for xi in xis]
     live = [t for t in targets if t is not None]
+    zero = QPolynomial.zero()
     if not live:
-        return [QPolynomial.zero()] * len(targets)
+        return [zero] * len(targets)
     box = tuple(max(t[j] for t in live) for j in range(rs.rank))
     read = _GenfuncTable(rs, box)
-    return [QPolynomial.zero() if t is None else read(t) for t in targets]
+    return [zero if t is None else read(t) for t in targets]
 
 
 def kostant_partition(rs: RootSystem, xi: Weight) -> int:

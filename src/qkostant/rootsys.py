@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 Matrix = tuple[tuple[int, ...], ...]
 IntVec = tuple[int, ...]
@@ -71,14 +70,6 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-class WeightClass(Enum):
-    """Trichotomy used by the partition functions to accept or reject weights."""
-
-    NONNEGATIVE_INTEGRAL = "nonnegative-integral"
-    HAS_NEGATIVE = "has-negative"
-    HAS_FRACTION = "has-fraction"
-
-
 def _frac(x: Union[int, str, Fraction]) -> Rational:
     """An int or a Fraction as it is, anything else (such as "3/2") as a
     Fraction."""
@@ -88,10 +79,15 @@ def _frac(x: Union[int, str, Fraction]) -> Rational:
 class Weight:
     """Immutable vector of exact rational simple-root coefficients.
 
+    Whether a weight can be partitioned into positive roots is asked once,
+    by :meth:`nonnegative_ints`.
+
     >>> Weight([3, 2]) + Weight([1, 1])
     Weight(4, 3)
     >>> Weight(["1/2", 0]).height()
     Fraction(1, 2)
+    >>> Weight([2, 0]).nonnegative_ints(), Weight([-1, 0]).nonnegative_ints()
+    ((2, 0), None)
     """
 
     __slots__ = ("coeffs",)
@@ -157,11 +153,12 @@ class Weight:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def int_coeffs(self) -> IntVec:
-        """Coefficients as plain ints; raises if any is non-integral."""
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise ValueError(f"weight {self!r} has fractional coefficients")
-        return tuple(int(c) for c in self.coeffs)
+    def nonnegative_ints(self) -> Optional[IntVec]:
+        """The coefficients as ints when every one is a nonnegative integer,
+        else None: only such a weight is a sum of positive roots."""
+        if all(c >= 0 and c.denominator == 1 for c in self.coeffs):
+            return tuple(int(c) for c in self.coeffs)
+        return None
 
     # -- rendering ---------------------------------------------------------
 
@@ -184,15 +181,6 @@ class Weight:
     def latex(self) -> str:
         """LaTeX form, "3\\alpha_{1} + 2\\alpha_{2}"."""
         return self._render(lambda i: f"\\alpha_{{{i}}}")
-
-
-def classify_weight(w: Weight) -> WeightClass:
-    """Classify ``w``; a fractional coefficient dominates a negative one."""
-    if any(c.denominator != 1 for c in w.coeffs):
-        return WeightClass.HAS_FRACTION
-    if any(c < 0 for c in w.coeffs):
-        return WeightClass.HAS_NEGATIVE
-    return WeightClass.NONNEGATIVE_INTEGRAL
 
 
 def cartan_matrix(t: Union[str, LieType]) -> Matrix:
@@ -328,10 +316,7 @@ class RootSystem:
         return w
 
     def is_positive_root(self, w: Weight) -> bool:
-        try:
-            return w.int_coeffs() in set(self.root_vectors)
-        except ValueError:
-            return False
+        return w.nonnegative_ints() in set(self.root_vectors)
 
     def coroot_pairing(self, w: Weight, i: int) -> Fraction:
         """<w, coroot of alpha_i> for 1-based i."""

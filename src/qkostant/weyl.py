@@ -21,20 +21,13 @@ before building its matrix, together with its subtree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Optional
 
 from .qpoly import QPolynomial
-from .rootsys import (
-    IntVec,
-    Matrix,
-    RootSystem,
-    Weight,
-    WeightClass,
-    classify_weight,
-)
+from .rootsys import IntVec, Matrix, RootSystem, Weight
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
 
@@ -203,9 +196,6 @@ class AlternationRecord:
     sign: int
     pq: Optional[QPolynomial] = None
 
-    def with_pq(self, pq: QPolynomial) -> "AlternationRecord":
-        return replace(self, pq=pq)
-
 
 def alternation_set(
     rs: RootSystem,
@@ -213,11 +203,12 @@ def alternation_set(
     mu: Optional[Weight] = None,
 ) -> list[AlternationRecord]:
     """All Weyl elements whose term in the multiplicity sum can be nonzero,
-    in (length, canonical word) order; ``pq`` is left unfilled.
+    in (length, canonical word) order; ``pq`` is left unset, so the search
+    stands alone (:func:`compute_mq` fills it).
 
     lam must be dominant integral.  Then the admitted sigma, those whose
-    xi = sigma(lam+rho)-(rho+mu) is a nonnegative integral combination of
-    simple roots, form a subtree of the canonical-word tree: stripping a right
+    xi = sigma(lam+rho)-(rho+mu) has nonnegative integer coefficients
+    (:meth:`Weight.nonnegative_ints`), form a subtree of the canonical-word tree: stripping a right
     descent i adds <lam+rho, alpha_i^vee> > 0 times the positive root
     -sigma(alpha_i) to xi.  So the walk pruned by that test finds them all.
     """
@@ -236,8 +227,8 @@ def alternation_set(
     # xi(sigma s_i) = xi(sigma) - <lam+rho, alpha_i^vee> sigma(alpha_i), read
     # off column i of sigma's matrix, is an integer step: integrality is
     # settled at the root, and a child needs only the sign test.
-    xi = lam - mu
-    if classify_weight(xi) is not WeightClass.NONNEGATIVE_INTEGRAL:
+    root = (lam - mu).nonnegative_ints()
+    if root is None:
         return []
     steps = [int(p) + 1 for p in pairings]  # <lam+rho, alpha_i^vee>
 
@@ -250,5 +241,5 @@ def alternation_set(
         AlternationRecord(
             WeylElement(rs.cartan, m, word), Weight(v), -1 if len(word) % 2 else 1
         )
-        for m, word, v in _walk(rs, keep, xi.int_coeffs())
+        for m, word, v in _walk(rs, keep, root)
     ]

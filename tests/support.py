@@ -3,13 +3,16 @@
 The oracles here deliberately avoid the library's counting algorithms:
 root sets are regenerated by reflection-orbit closure, graded partition
 counts by plain enumeration over a multiplicity box, Coxeter lengths by
-counting the positive roots sent negative, and products of Weyl elements by
-full matrix multiplication.
+counting the positive roots sent negative, products of Weyl elements by
+full matrix multiplication, and alternation sets by testing every element
+of the group in scaled integers.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import lcm
+from operator import mul
 from random import Random
 
 from qkostant import RootSystem, Weight, WeylElement, canonical_word
@@ -119,6 +122,26 @@ def brute_force_pq(root_vectors, xi: tuple[int, ...]) -> tuple[int, ...]:
         return ()
     top = max(counts)
     return tuple(counts.get(i, 0) for i in range(top + 1))
+
+
+def exhaustive_alternation(elements, lam: Weight, mu: Weight, rho: Weight) -> dict:
+    """{matrix: xi} over every element sigma whose xi = sigma(lam+rho) - (rho+mu)
+    has nonnegative integer coefficients, found by testing each element.
+
+    Independent of the library's Weyl action: both weights are scaled by the
+    lcm d of their denominators, each matrix acts on plain ints, and xi is
+    kept when every scaled coefficient is a nonnegative multiple of d.
+    """
+    target, shift = lam + rho, rho + mu
+    d = lcm(*(c.denominator for c in target.coeffs + shift.coeffs))
+    t = [int(c * d) for c in target.coeffs]
+    s = [int(c * d) for c in shift.coeffs]
+    found = {}
+    for e in elements:
+        v = [sum(map(mul, row, t)) - sj for row, sj in zip(e.matrix, s)]
+        if min(v) >= 0 and all(x % d == 0 for x in v):
+            found[e.matrix] = Weight([x // d for x in v])
+    return found
 
 
 def random_dominant_weight(rs: RootSystem, rng: Random, max_total: int = 2) -> Weight:

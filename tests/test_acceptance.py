@@ -17,11 +17,9 @@ import golden_tables as gt
 from qkostant import (
     QPolynomial,
     Weight,
-    WeightClass,
     alternation_set,
     apply,
     build_root_system,
-    classify_weight,
     compute_mq,
     enumerate_group,
     full_group_mq,
@@ -34,7 +32,12 @@ from qkostant import (
     word_str,
 )
 from qkostant.cli import main as cli_main
-from support import brute_force_pq, determinant, random_dominant_pair
+from support import (
+    brute_force_pq,
+    determinant,
+    exhaustive_alternation,
+    random_dominant_pair,
+)
 
 RANK_LE_4 = [
     "A1", "A2", "A3", "A4",
@@ -84,7 +87,7 @@ def check_golden_table(name, rank, rows, mq_latex):
         assert rec.element.word == gt.parse_word(word)
         assert word_str(rec.element.word) == word
         assert rec.element.length == length
-        assert rec.xi.int_coeffs() == gt.parse_weight_latex(xi_latex, rank)
+        assert rec.xi.nonnegative_ints() == gt.parse_weight_latex(xi_latex, rank)
         assert rec.pq.coeffs == gt.parse_qpoly_latex(pq_latex)
         assert rec.pq.latex() == pq_latex
         assert rec.xi.latex() == xi_latex
@@ -98,7 +101,7 @@ def test_c1_g2_golden_table():
     elapsed = check_golden_table("G2", gt.G2_RANK, gt.G2_ROWS, gt.G2_MQ)
     result = compute_mq(build_root_system("G2"))
     assert result.mq.compact_text() == "q + q^5"
-    assert [r.xi.int_coeffs() for r in result.records] == [(3, 2), (2, 2), (3, 0)]
+    assert [r.xi.nonnegative_ints() for r in result.records] == [(3, 2), (2, 2), (3, 0)]
     assert elapsed < 0.010
 
 
@@ -194,10 +197,10 @@ def test_c6_dual_algorithm_oracle():
         assert tree == gen, (name, xi_vec)
         if (
             rs.rank <= 3
-            and classify_weight(xi) is WeightClass.NONNEGATIVE_INTEGRAL
+            and xi.nonnegative_ints() is not None
             and xi.height() <= 8
         ):
-            oracle = QPolynomial(brute_force_pq(rs.root_vectors, xi.int_coeffs()))
+            oracle = QPolynomial(brute_force_pq(rs.root_vectors, xi.nonnegative_ints()))
             assert tree == oracle, (name, xi_vec)
             brute_checked += 1
         checked += 1
@@ -215,13 +218,7 @@ def test_c7_pruning_soundness():
         for _ in range(50):
             lam, mu = random_dominant_pair(rs, rng)
             records = alternation_set(rs, lam, mu)
-            target = lam + rs.rho
-            shift = rs.rho + mu
-            expected = {}
-            for e in elements:
-                xi = apply(e, target) - shift
-                if classify_weight(xi) is WeightClass.NONNEGATIVE_INTEGRAL:
-                    expected[e.matrix] = xi
+            expected = exhaustive_alternation(elements, lam, mu, rs.rho)
             assert {r.element.matrix for r in records} == set(expected)
             for rec in records:
                 assert rec.xi == expected[rec.element.matrix]

@@ -1,6 +1,8 @@
 """Command-line interface: formats, basis conversion, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def readme_examples():
+    """(argv, shown output lines) for each `$ qkostant ...` line of the
+    README's command-line block; a comment after the command is dropped."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```text\n", 1)[1]
+    examples = []
+    for chunk in block.split("```", 1)[0].strip().split("\n\n"):
+        command, *shown = chunk.splitlines()
+        assert command.startswith("$ qkostant "), command
+        examples.append((shlex.split(command[2:], comments=True)[1:], shown))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
 
 
 class TestPartitionCommand:
@@ -181,6 +200,22 @@ class TestVerifyCommand:
         assert "enumerated" not in out_limited
 
 
+class TestReadmeExamples:
+    def test_every_example_is_found(self):
+        assert [argv[0] for argv, _ in README_EXAMPLES] == [
+            "partition", "list-partitions", "altset", "mult", "verify"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, shown", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]
+    )
+    def test_prints_what_the_readme_shows(self, capsys, argv, shown):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if shown:
+            assert out.splitlines() == shown
+
+
 class TestUsageErrors:
     def test_bad_type(self, capsys):
         code, _, err = run(capsys, "partition", "Q9", "--xi", "1,1")
@@ -211,6 +246,13 @@ class TestUsageErrors:
     def test_verify_without_types(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-dir" / "result.txt"
+        code, out, err = run(capsys, "mult", "G2", "--out", str(missing))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv",

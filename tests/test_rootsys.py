@@ -1,4 +1,5 @@
-"""Root-system construction: Cartan data, positive roots, rho, classification."""
+"""Root-system construction: Cartan data, positive roots, rho, and the
+nonnegative-integer test on weights."""
 
 from fractions import Fraction
 
@@ -7,10 +8,8 @@ import pytest
 from qkostant import (
     LieType,
     Weight,
-    WeightClass,
     build_root_system,
     cartan_matrix,
-    classify_weight,
     weyl_group_order,
 )
 from support import orbit_positive_roots
@@ -113,12 +112,16 @@ class TestWeight:
         assert Weight(["1/2", 1]).height() == Fraction(3, 2)
 
     def test_classify(self):
-        assert classify_weight(Weight([2, 2])) is WeightClass.NONNEGATIVE_INTEGRAL
-        assert classify_weight(Weight([0, 0])) is WeightClass.NONNEGATIVE_INTEGRAL
-        assert classify_weight(Weight([-1, 0])) is WeightClass.HAS_NEGATIVE
-        assert classify_weight(Weight(["1/2", 0])) is WeightClass.HAS_FRACTION
-        # a fractional coefficient wins over a negative one
-        assert classify_weight(Weight(["-1/2", -3])) is WeightClass.HAS_FRACTION
+        # the one partitionability test: every coefficient a nonnegative integer
+        assert Weight([2, 2]).nonnegative_ints() == (2, 2)
+        assert Weight([0, 0]).nonnegative_ints() == (0, 0)
+        assert Weight([1, 2]).nonnegative_ints() == (1, 2)
+        assert Weight(["4/2", 0]).nonnegative_ints() == (2, 0)
+        assert all(type(c) is int for c in Weight(["4/2", 1]).nonnegative_ints())
+        assert Weight([-1, 0]).nonnegative_ints() is None
+        assert Weight(["1/2", 0]).nonnegative_ints() is None
+        assert Weight(["1/2", 1]).nonnegative_ints() is None
+        assert Weight(["-1/2", -3]).nonnegative_ints() is None
 
     def test_text(self):
         assert Weight([3, 2]).text() == "3α1 + 2α2"
@@ -126,10 +129,6 @@ class TestWeight:
         assert Weight([1, 0, -2]).text() == "α1 - 2α3"
         assert Weight([3, 2]).latex() == "3\\alpha_{1} + 2\\alpha_{2}"
 
-    def test_int_coeffs(self):
-        assert Weight([1, 2]).int_coeffs() == (1, 2)
-        with pytest.raises(ValueError):
-            Weight(["1/2", 1]).int_coeffs()
 
 
 class TestRootSystems:
@@ -209,6 +208,7 @@ class TestRootSystems:
         assert rs.is_positive_root(Weight([3, 1]))
         assert not rs.is_positive_root(Weight([2, 2]))
         assert not rs.is_positive_root(Weight(["1/2", 0]))
+        assert not rs.is_positive_root(Weight([-1, 0]))
 
     def test_weyl_orders(self):
         assert weyl_group_order("A3") == 24

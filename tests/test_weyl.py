@@ -8,12 +8,10 @@ import pytest
 from qkostant import (
     OrderExceededError,
     Weight,
-    WeightClass,
     alternation_set,
     apply,
     build_root_system,
     canonical_word,
-    classify_weight,
     enumerate_group,
     group_order_bfs,
     simple_reflection,
@@ -22,6 +20,7 @@ from qkostant import (
 from support import (
     compose,
     determinant,
+    exhaustive_alternation,
     identity_element,
     length_by_negative_roots,
     random_dominant_pair,
@@ -65,8 +64,8 @@ class TestSimpleReflections:
                     if w == alpha_i:
                         assert apply(s, w) == -w
                     else:
-                        images.add(apply(s, w).int_coeffs())
-                assert images == positives - {alpha_i.int_coeffs()}
+                        images.add(apply(s, w).nonnegative_ints())
+                assert images == positives - {alpha_i.nonnegative_ints()}
 
 
 class TestApplyCompose:
@@ -243,14 +242,7 @@ class TestAlternationSet:
                 for mu in (dominant_mu, conjugate_mu):
                     records = alternation_set(rs, lam, mu)
                     got = {r.element.matrix for r in records}
-                    target = lam + rs.rho
-                    shift = rs.rho + mu
-                    expected = {
-                        e.matrix
-                        for e in elements
-                        if classify_weight(apply(e, target) - shift)
-                        is WeightClass.NONNEGATIVE_INTEGRAL
-                    }
+                    expected = set(exhaustive_alternation(elements, lam, mu, rs.rho))
                     assert got == expected
 
     def test_matches_exhaustive_filter_rank_5(self):
@@ -258,14 +250,10 @@ class TestAlternationSet:
         for name in ["A5", "D5"]:
             rs = build_root_system(name)
             records = alternation_set(rs)
-            target = rs.highest_root + rs.rho
-            expected = {
-                e.matrix
-                for e in enumerate_group(rs)
-                if classify_weight(apply(e, target) - rs.rho)
-                is WeightClass.NONNEGATIVE_INTEGRAL
-            }
-            assert {r.element.matrix for r in records} == expected
+            expected = exhaustive_alternation(
+                enumerate_group(rs), rs.highest_root, rs.zero_weight(), rs.rho
+            )
+            assert {r.element.matrix for r in records} == set(expected)
 
     def test_subset_of_group(self):
         rs = build_root_system("F4")
