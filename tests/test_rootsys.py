@@ -115,12 +115,10 @@ class TestWeight:
         # the one partitionability test: every coefficient a nonnegative integer
         assert Weight([2, 2]).nonnegative_ints() == (2, 2)
         assert Weight([0, 0]).nonnegative_ints() == (0, 0)
-        assert Weight([1, 2]).nonnegative_ints() == (1, 2)
         assert Weight(["4/2", 0]).nonnegative_ints() == (2, 0)
         assert all(type(c) is int for c in Weight(["4/2", 1]).nonnegative_ints())
         assert Weight([-1, 0]).nonnegative_ints() is None
         assert Weight(["1/2", 0]).nonnegative_ints() is None
-        assert Weight(["1/2", 1]).nonnegative_ints() is None
         assert Weight(["-1/2", -3]).nonnegative_ints() is None
 
     def test_text(self):
@@ -129,6 +127,10 @@ class TestWeight:
         assert Weight([1, 0, -2]).text() == "α1 - 2α3"
         assert Weight([3, 2]).latex() == "3\\alpha_{1} + 2\\alpha_{2}"
 
+    def test_int_coeffs(self):
+        # integer coefficients come back as ints; a fraction gives None
+        assert Weight([1, 2]).nonnegative_ints() == (1, 2)
+        assert Weight(["1/2", 1]).nonnegative_ints() is None
 
 
 class TestRootSystems:
