@@ -8,12 +8,16 @@ Subcommands::
     mult             the multiplicity polynomial m_q and its value at q = 1
     verify           exponent identity checks, exit 1 on any failure
 
-Weights are comma-separated coefficient lists (fractions like 3/2 allowed),
-read in the simple-root basis by default or in the fundamental-weight basis
-with ``--basis omega``.  Output formats: text (default), json, csv, latex.
-Counts come from the generating-function kernel; ``partition --method tree``
-asks the tree kernel instead.  ``verify`` takes Lie types, ``--format``,
-``--out`` and ``--max-group-order``.
+Every subcommand but ``verify`` takes one Lie type, positional.  Weights
+are comma-separated coefficient lists (fractions like 3/2 allowed), read in
+the simple-root basis by default or in the fundamental-weight basis with
+``--basis omega``.  Output formats: text (default), json, csv, latex; every
+csv table goes through one writer.  Counts come from the generating-function
+kernel; ``partition --method tree`` asks the tree kernel instead.
+``verify`` takes Lie types, ``--format``, ``--out`` and
+``--max-group-order``.  Each subparser names the function that runs it.
+A ``ValueError`` (bad input, or one the library raises) or an ``OSError``
+(an unwritable ``--out``) prints one line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .multiplicity import (
     MultiplicityResult,
@@ -36,7 +40,7 @@ from .partition import (
     partition_tree_count,
     partition_tree_list,
 )
-from .rootsys import LieType, RootSystem, Weight, build_root_system
+from .rootsys import RootSystem, Weight, build_root_system
 from .weyl import DEFAULT_MAX_GROUP_ORDER, word_str
 
 
@@ -44,21 +48,17 @@ from .weyl import DEFAULT_MAX_GROUP_ORDER, word_str
 _WEIGHT_OPTIONS = ("--xi", "--lambda", "--mu")
 
 
-class UsageError(ValueError):
-    """Invalid arguments detected after parsing; maps to exit code 2."""
-
-
 def _parse_coeff_list(s: str) -> list[Fraction]:
     try:
         return [Fraction(part.strip()) for part in s.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse coefficient list {s!r}: {exc}") from None
+        raise ValueError(f"cannot parse coefficient list {s!r}: {exc}") from None
 
 
 def _input_weight(rs: RootSystem, s: str, basis: str) -> Weight:
     coeffs = _parse_coeff_list(s)
     if len(coeffs) != rs.rank:
-        raise UsageError(
+        raise ValueError(
             f"{rs.lie_type} needs {rs.rank} coefficients, got {len(coeffs)} in {s!r}"
         )
     if basis == "omega":
@@ -74,26 +74,26 @@ def _weight_json(w: Weight) -> list:
     return [_json_num(c) for c in w.coeffs]
 
 
-def _resolve_type(args: argparse.Namespace) -> LieType:
-    pos = getattr(args, "type_pos", None)
-    flag = getattr(args, "type_flag", None)
-    if pos and flag and pos.upper() != flag.upper():
-        raise UsageError(f"conflicting types {pos!r} and {flag!r}")
-    name = pos or flag
-    if not name:
-        raise UsageError("no Lie type given (positional or --type)")
-    try:
-        return LieType.parse(name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _emit(text: str, args: argparse.Namespace) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
+
+
+def _csv(columns: Sequence[str], rows: Iterable[dict]) -> str:
+    """A header of ``columns``, then those fields of each row; a list field
+    is written as its items joined by ";"."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        fields = (row[c] for c in columns)
+        writer.writerow(
+            ";".join(map(str, f)) if isinstance(f, list) else f for f in fields
+        )
+    return buf.getvalue().rstrip("\n")
 
 
 def _record_dicts(result: MultiplicityResult) -> list[dict]:
@@ -111,24 +111,6 @@ def _record_dicts(result: MultiplicityResult) -> list[dict]:
             }
         )
     return rows
-
-
-def _records_csv(result: MultiplicityResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["index", "word", "length", "xi", "pq", "sign"])
-    for row in _record_dicts(result):
-        writer.writerow(
-            [
-                row["index"],
-                row["word"],
-                row["length"],
-                ";".join(str(c) for c in row["xi"]),
-                ";".join(str(c) for c in row["pq"]),
-                row["sign"],
-            ]
-        )
-    return buf.getvalue().rstrip("\n")
 
 
 def _records_text(result: MultiplicityResult) -> str:
@@ -175,10 +157,9 @@ def _mult_payload(result: MultiplicityResult) -> dict:
     }
 
 
-def _cmd_partition(args: argparse.Namespace, listing: bool) -> int:
-    rs = build_root_system(_resolve_type(args))
-    if not args.xi:
-        raise UsageError("--xi is required")
+def _cmd_partition(args: argparse.Namespace) -> int:
+    """``partition`` and ``list-partitions``, which also lists them."""
+    rs = build_root_system(args.type)
     xi = _input_weight(rs, args.xi, args.basis)
     pq = (
         partition_tree_count(rs, xi)
@@ -186,7 +167,7 @@ def _cmd_partition(args: argparse.Namespace, listing: bool) -> int:
         else partition_genfunc(rs, xi)
     )
     count = pq.at_one()
-    partitions = partition_tree_list(rs, xi) if listing else None
+    partitions = partition_tree_list(rs, xi) if args.listing else None
 
     if args.format == "json":
         payload = {
@@ -207,20 +188,15 @@ def _cmd_partition(args: argparse.Namespace, listing: bool) -> int:
                 for p in partitions
             ]
         _emit(json.dumps(payload, indent=2), args)
+    elif args.format == "csv" and partitions is None:
+        rows = ({"power": p, "coefficient": c} for p, c in pq.terms())
+        _emit(_csv(("power", "coefficient"), rows), args)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        if partitions is None:
-            writer.writerow(["power", "coefficient"])
-            for p, c in pq.terms():
-                writer.writerow([p, c])
-        else:
-            writer.writerow(["index", "roots_used", "mults"])
-            for i, part in enumerate(partitions, start=1):
-                writer.writerow(
-                    [i, part.roots_used(), ";".join(str(m) for m in part.mults)]
-                )
-        _emit(buf.getvalue().rstrip("\n"), args)
+        rows = (
+            {"index": i, "roots_used": p.roots_used(), "mults": list(p.mults)}
+            for i, p in enumerate(partitions, start=1)
+        )
+        _emit(_csv(("index", "roots_used", "mults"), rows), args)
     elif args.format == "latex":
         lines = [f"$ {pq.latex()} $"]
         if partitions is not None:
@@ -237,14 +213,15 @@ def _cmd_partition(args: argparse.Namespace, listing: bool) -> int:
 def _cmd_mult(args: argparse.Namespace) -> int:
     """``altset`` and ``mult``: one computation; in text form ``altset``
     lists the records and ``mult`` prints m_q."""
-    rs = build_root_system(_resolve_type(args))
+    rs = build_root_system(args.type)
     lam = _input_weight(rs, args.lam, args.basis) if args.lam else None
     mu = _input_weight(rs, args.mu, args.basis) if args.mu else None
     result = compute_mq(rs, lam, mu)
     if args.format == "json":
         _emit(json.dumps(_mult_payload(result), indent=2), args)
     elif args.format == "csv":
-        _emit(_records_csv(result), args)
+        columns = ("index", "word", "length", "xi", "pq", "sign")
+        _emit(_csv(columns, _record_dicts(result)), args)
     elif args.format == "latex":
         _emit(_records_latex(result), args)
     elif args.command == "altset":
@@ -255,67 +232,42 @@ def _cmd_mult(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    names = list(args.types or [])
-    if args.type_flag:
-        names.append(args.type_flag)
-    if not names:
-        raise UsageError("verify needs at least one Lie type")
-    reports = []
-    for name in names:
-        try:
-            t = LieType.parse(name)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        rs = build_root_system(t)
-        reports.append(
-            verify_exponents(rs, enumerate_order_limit=args.max_group_order)
+    if not args.types:
+        raise ValueError("verify needs at least one Lie type")
+    reports = [
+        verify_exponents(
+            build_root_system(name), enumerate_order_limit=args.max_group_order
         )
+        for name in args.types
+    ]
     all_ok = all(r.ok for r in reports)
 
-    if args.format == "json":
-        payload = {
-            "ok": all_ok,
-            "reports": [
-                {
-                    "type": str(r.lie_type),
-                    "ok": r.ok,
-                    "mq": list(r.mq.coeffs),
-                    "mq_text": r.mq.compact_text(),
-                    "exponents": list(r.exponents),
-                    "reference_exponents": list(r.reference),
-                    "identity_holds": r.identity_holds,
-                    "sum_matches_root_count": r.sum_matches_root_count,
-                    "product_matches_group_order": r.product_matches_group_order,
-                    "alt_set_size": r.alt_set_size,
-                    "expected_alt_set_size": r.expected_alt_set_size,
-                    "listed_alt_set_size": r.listed_alt_set_size,
-                    "weyl_order": r.weyl_order,
-                    "enumerated_weyl_order": r.enumerated_weyl_order,
-                    "notes": list(r.notes),
-                    "seconds": round(r.elapsed, 6),
-                }
-                for r in reports
-            ],
+    rows = [
+        {
+            "type": str(r.lie_type),
+            "ok": r.ok,
+            "mq": list(r.mq.coeffs),
+            "mq_text": r.mq.compact_text(),
+            "exponents": list(r.exponents),
+            "reference_exponents": list(r.reference),
+            "identity_holds": r.identity_holds,
+            "sum_matches_root_count": r.sum_matches_root_count,
+            "product_matches_group_order": r.product_matches_group_order,
+            "alt_set_size": r.alt_set_size,
+            "expected_alt_set_size": r.expected_alt_set_size,
+            "listed_alt_set_size": r.listed_alt_set_size,
+            "weyl_order": r.weyl_order,
+            "enumerated_weyl_order": r.enumerated_weyl_order,
+            "notes": list(r.notes),
+            "seconds": round(r.elapsed, 6),
         }
-        _emit(json.dumps(payload, indent=2), args)
+        for r in reports
+    ]
+    if args.format == "json":
+        _emit(json.dumps({"ok": all_ok, "reports": rows}, indent=2), args)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["type", "ok", "exponents", "alt_set_size", "weyl_order", "seconds"]
-        )
-        for r in reports:
-            writer.writerow(
-                [
-                    str(r.lie_type),
-                    r.ok,
-                    ";".join(str(e) for e in r.exponents),
-                    r.alt_set_size,
-                    r.weyl_order,
-                    round(r.elapsed, 6),
-                ]
-            )
-        _emit(buf.getvalue().rstrip("\n"), args)
+        columns = ("type", "ok", "exponents", "alt_set_size", "weyl_order", "seconds")
+        _emit(_csv(columns, rows), args)
     elif args.format == "latex":
         lines = [
             r"\begin{tabular}{|c|c|c|c|}",
@@ -370,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--type", dest="type_flag", metavar="TYPE")
     common.add_argument(
         "--format", choices=("text", "json", "csv", "latex"), default="text"
     )
@@ -378,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # one type and weights: every subcommand but verify
     typed = argparse.ArgumentParser(add_help=False)
-    typed.add_argument("type_pos", nargs="?", metavar="TYPE")
+    typed.add_argument("type", nargs="?", default="", metavar="TYPE")
     typed.add_argument("--basis", choices=("alpha", "omega"), default="alpha")
 
     p_part = sub.add_parser(
@@ -386,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_part.add_argument("--xi", metavar="COEFFS", required=True)
     p_part.add_argument("--method", choices=("tree", "genfunc"), default="genfunc")
+    p_part.set_defaults(run=_cmd_partition, listing=False)
 
     p_list = sub.add_parser(
         "list-partitions",
@@ -393,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit partitions of a weight",
     )
     p_list.add_argument("--xi", metavar="COEFFS", required=True)
-    p_list.set_defaults(method="genfunc")
+    p_list.set_defaults(run=_cmd_partition, listing=True, method="genfunc")
 
     for name, help_text in (
         ("altset", "contributing Weyl elements"),
@@ -402,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, parents=[typed, common], help=help_text)
         sp.add_argument("--lambda", dest="lam", metavar="COEFFS")
         sp.add_argument("--mu", metavar="COEFFS")
+        sp.set_defaults(run=_cmd_mult)
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="exponent identity checks"
@@ -413,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_GROUP_ORDER,
         metavar="N",
     )
+    p_verify.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -436,16 +390,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _attach_negative_weights(sys.argv[1:] if argv is None else argv)
     )
     try:
-        if args.command == "partition":
-            return _cmd_partition(args, listing=False)
-        if args.command == "list-partitions":
-            return _cmd_partition(args, listing=True)
-        if args.command in ("altset", "mult"):
-            return _cmd_mult(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:  # UsageError; an unwritable --out
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # bad input; an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

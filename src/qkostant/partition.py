@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from operator import lshift, mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .qpoly import QPolynomial
 from .rootsys import IntVec, LieType, RootSystem, Weight
@@ -118,21 +118,19 @@ class PartitionMultiset:
                     acc[j] += m * v[j]
         return Weight(acc)
 
-    def text(self, rs: RootSystem) -> str:
+    def _render(self, rs: RootSystem, root: Callable[[Weight], str]) -> str:
         parts = [
-            f"{m}({rs.positive_roots[k].text()})"
+            f"{m}({root(rs.positive_roots[k])})"
             for k, m in enumerate(self.mults)
             if m
         ]
         return " + ".join(parts) if parts else "0"
 
+    def text(self, rs: RootSystem) -> str:
+        return self._render(rs, Weight.text)
+
     def latex(self, rs: RootSystem) -> str:
-        parts = [
-            f"{m}({rs.positive_roots[k].latex()})"
-            for k, m in enumerate(self.mults)
-            if m
-        ]
-        return " + ".join(parts) if parts else "0"
+        return self._render(rs, Weight.latex)
 
 
 def _as_int_vec(rs: RootSystem, xi: Weight) -> Optional[IntVec]:
@@ -201,6 +199,15 @@ def _tree_count_packed(rs: RootSystem, memo: _TreeMemo, target: IntVec) -> int:
     return rec(0, sum(map(lshift, target, fields)))
 
 
+def _too_deep(rs: RootSystem) -> ValueError:
+    """The tree kernels recurse up to once per positive root.  A memo entry
+    is stored only once complete, so a failed call leaves the memo sound."""
+    return ValueError(
+        f"{rs.lie_type} has {len(rs.root_vectors)} positive roots, "
+        "too many for the tree kernel's recursion"
+    )
+
+
 def partition_tree_count(rs: RootSystem, xi: Weight) -> QPolynomial:
     """Graded partition count of ``xi`` by the tree method.
 
@@ -213,7 +220,11 @@ def partition_tree_count(rs: RootSystem, xi: Weight) -> QPolynomial:
     if target is None:
         return QPolynomial.zero()
     memo = _tree_memo(rs, target)
-    return QPolynomial.from_packed(_tree_count_packed(rs, memo, target), memo.limb)
+    try:
+        packed = _tree_count_packed(rs, memo, target)
+    except RecursionError:
+        raise _too_deep(rs) from None
+    return QPolynomial.from_packed(packed, memo.limb)
 
 
 def partition_tree_list(rs: RootSystem, xi: Weight) -> list[PartitionMultiset]:
@@ -252,7 +263,10 @@ def partition_tree_list(rs: RootSystem, xi: Weight) -> list[PartitionMultiset]:
             rec(k + 1, tuple(cur))
         mults[k] = 0
 
-    rec(0, target)
+    try:
+        rec(0, target)
+    except RecursionError:
+        raise _too_deep(rs) from None
     return out
 
 

@@ -12,11 +12,37 @@ because bigint shift-and-add is far faster in CPython than per-coefficient
 list arithmetic.  The limb width ``bits`` is not fixed here: each kernel
 proves a bound on every value it will hold and passes that width to
 :meth:`QPolynomial.from_packed` (see ``partition``).
+
+Every signed sum the library prints is written by :func:`signed_sum`: the
+four forms of a polynomial differ only in how they spell q^p, and a
+``rootsys.Weight`` is rendered by the same function.  This module imports
+nothing from the package, so ``rootsys`` may import from it.
 """
 
 from __future__ import annotations
 
+from numbers import Rational
 from typing import Callable, Iterable, Iterator
+
+
+def signed_sum(terms: Iterable[tuple[Rational, str]]) -> str:
+    """The sum of ``c * unit`` over (c, unit) pairs with c nonzero, the
+    signs joining the terms; a coefficient of one before a unit is left
+    out, and the empty sum is "0".
+
+    >>> signed_sum([(2, ""), (-1, "q"), (3, "q^2")])
+    '2 - q + 3q^2'
+    >>> signed_sum([])
+    '0'
+    """
+    out = ""
+    for c, unit in terms:
+        body = unit if abs(c) == 1 and unit else f"{abs(c)}{unit}"
+        if out:
+            out += (" + " if c > 0 else " - ") + body
+        else:
+            out = body if c > 0 else "-" + body
+    return out or "0"
 
 
 class QPolynomial:
@@ -155,63 +181,27 @@ class QPolynomial:
 
     # -- rendering -----------------------------------------------------------
 
-    def _render(self, term: Callable[[int, int], str]) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for p, c in self.terms():
-            body = term(abs(c), p)
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
-        return "".join(parts)
+    def _render(self, power: Callable[[int], str]) -> str:
+        """The nonzero terms, q^p spelled ``power(p)`` for p >= 1."""
+        return signed_sum((c, power(p) if p else "") for p, c in self.terms())
 
     def text(self) -> str:
         """Plain form with explicit first power: "q^1 + 2q^2 + q^3"."""
-
-        def term(c: int, p: int) -> str:
-            if p == 0:
-                return str(c)
-            head = "" if c == 1 else str(c)
-            return f"{head}q^{p}"
-
-        return self._render(term)
+        return self._render(lambda p: f"q^{p}")
 
     def compact_text(self) -> str:
         """Plain form writing q for q^1: "q + q^5 + q^11"."""
-
-        def term(c: int, p: int) -> str:
-            if p == 0:
-                return str(c)
-            head = "" if c == 1 else str(c)
-            return f"{head}q" if p == 1 else f"{head}q^{p}"
-
-        return self._render(term)
+        return self._render(lambda p: "q" if p == 1 else f"q^{p}")
 
     def latex(self) -> str:
         """LaTeX cell form with braced exponents: "q^{1} + 2q^{2}"."""
-
-        def term(c: int, p: int) -> str:
-            if p == 0:
-                return str(c)
-            head = "" if c == 1 else str(c)
-            return f"{head}q^{{{p}}}"
-
-        return self._render(term)
+        return self._render(lambda p: f"q^{{{p}}}")
 
     def compact_latex(self) -> str:
         """LaTeX summary form: "q + q^5 + q^{11}"."""
-
-        def term(c: int, p: int) -> str:
-            if p == 0:
-                return str(c)
-            head = "" if c == 1 else str(c)
-            if p == 1:
-                return f"{head}q"
-            return f"{head}q^{p}" if p < 10 else f"{head}q^{{{p}}}"
-
-        return self._render(term)
+        return self._render(
+            lambda p: "q" if p == 1 else f"q^{p}" if p < 10 else f"q^{{{p}}}"
+        )
 
     def __str__(self) -> str:
         return self.text()

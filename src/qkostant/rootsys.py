@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
+from .qpoly import signed_sum
+
 Matrix = tuple[tuple[int, ...], ...]
 IntVec = tuple[int, ...]
 Rational = Union[int, Fraction]  # an int equals and hashes as its Fraction
@@ -163,16 +165,9 @@ class Weight:
     # -- rendering ---------------------------------------------------------
 
     def _render(self, alpha: Callable[[int], str]) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs, start=1):
-            if c == 0:
-                continue
-            body = alpha(i) if abs(c) == 1 else f"{abs(c)}{alpha(i)}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
-        return "".join(parts) if parts else "0"
+        return signed_sum(
+            (c, alpha(i)) for i, c in enumerate(self.coeffs, start=1) if c
+        )
 
     def text(self) -> str:
         """Unicode form, "3α1 + 2α2"."""

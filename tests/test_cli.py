@@ -1,6 +1,7 @@
 """Command-line interface: formats, basis conversion, exit codes."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -32,6 +33,28 @@ def readme_examples():
 
 
 README_EXAMPLES = readme_examples()
+
+# Every writer is pinned byte for byte: the four formats of these commands,
+# stored in cli_outputs.json as the lines of stdout (csv rows end in "\r").
+PINNED_COMMANDS = [
+    "partition G2 --xi 2,2",
+    "list-partitions G2 --xi 2,2",
+    "altset G2",
+    "mult A2 --lambda 0,0 --mu -3,-3 --basis omega",
+    "verify G2",
+]
+FORMATS = ["text", "json", "csv", "latex"]
+PINNED_OUTPUTS = json.loads(
+    (Path(__file__).parent / "cli_outputs.json").read_text(encoding="utf-8")
+)
+
+
+def mask_timings(out: str) -> str:
+    """``out`` with the timings of ``verify`` (text, json, csv) as "*"."""
+    out = re.sub(r"time: \d+\.\d+ s", "time: * s", out)
+    seconds = r"(\d+\.\d*|\d+(\.\d+)?e-\d+)"
+    out = re.sub(rf'"seconds": {seconds}', '"seconds": *', out)
+    return re.sub(rf",{seconds}\r\n", ",*\r\n", out)
 
 
 class TestPartitionCommand:
@@ -188,16 +211,21 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
-    def test_type_flag(self, capsys):
-        code, out, _ = run(capsys, "verify", "--type", "A1")
-        assert code == 0
-        assert "m_q = q" in out
-
     def test_max_group_order_limits_enumeration(self, capsys):
         _, out_default, _ = run(capsys, "verify", "G2")
         assert "|W| enumerated = 12" in out_default
         _, out_limited, _ = run(capsys, "verify", "G2", "--max-group-order", "5")
         assert "enumerated" not in out_limited
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", PINNED_COMMANDS)
+    def test_prints_the_pinned_bytes(self, capsys, command, fmt):
+        argv = [*shlex.split(command), "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert mask_timings(out).split("\n") == PINNED_OUTPUTS[" ".join(argv)]
 
 
 class TestReadmeExamples:
@@ -230,10 +258,6 @@ class TestUsageErrors:
         code, _, err = run(capsys, "mult")
         assert code == 2
 
-    def test_conflicting_types(self, capsys):
-        code, _, err = run(capsys, "mult", "G2", "--type", "F4")
-        assert code == 2
-
     def test_bad_coefficient(self, capsys):
         code, _, err = run(capsys, "partition", "G2", "--xi", "1,x")
         assert code == 2
@@ -246,6 +270,23 @@ class TestUsageErrors:
     def test_verify_without_types(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
+
+    def test_empty_xi(self, capsys):
+        code, out, err = run(capsys, "partition", "G2", "--xi", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse coefficient list ''")
+
+    def test_tree_too_deep(self, capsys):
+        # never without --method tree: genfunc would plan 2^45 cells
+        ones = ",".join(["1"] * 45)
+        code, out, err = run(
+            capsys, "partition", "A45", "--xi", ones, "--method", "tree"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: A45 has 1035 positive roots, "
+            "too many for the tree kernel's recursion\n"
+        )
 
     def test_unwritable_out(self, capsys, tmp_path):
         missing = tmp_path / "no-such-dir" / "result.txt"
@@ -262,10 +303,13 @@ class TestUsageErrors:
             ["verify", "G2", "--method", "tree"],
             ["list-partitions", "G2", "--xi", "2,2", "--method", "tree"],
             ["verify", "G2", "--basis", "omega"],
+            ["verify", "--type", "A1"],
+            ["mult", "G2", "--type", "F4"],
         ],
     )
     def test_option_not_offered(self, capsys, argv):
-        # only partition offers --method, and verify takes no --basis
+        # only partition offers --method, verify takes no --basis, and the
+        # type is positional only
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

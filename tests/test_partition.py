@@ -112,6 +112,15 @@ class TestTreeCount:
             coords = [(res >> (j * width)) & field for j in range(rs.rank)]
             assert all(map(int.__ge__, coords, rs.root_vectors[k]))
 
+    def test_too_deep_is_a_value_error(self):
+        # the tree recurses up to once per root: 1,035 on A45
+        rs = build_root_system("A45")
+        with pytest.raises(ValueError, match="^A45 has 1035 positive roots"):
+            partition_tree_count(rs, Weight([1] * 45))
+        # a memo entry is stored only once complete, so the memo stays sound
+        small = Weight([1, 2, 1] + [0] * 40 + [1, 1])
+        assert partition_tree_count(rs, small) == partition_genfunc(rs, small)
+
 
 class TestGenfunc:
     def test_g2_worked_example(self):
@@ -210,6 +219,11 @@ class TestTreeList:
                 assert pq == QPolynomial(
                     grades.get(i, 0) for i in range(max(grades, default=-1) + 1)
                 )
+
+    def test_too_deep_is_a_value_error(self):
+        rs = build_root_system("A45")
+        with pytest.raises(ValueError, match="^A45 has 1035 positive roots"):
+            partition_tree_list(rs, Weight([1] * 45))
 
     def test_text(self):
         parts = partition_tree_list(G2, Weight([2, 2]))
