@@ -26,6 +26,7 @@ from .weyl import (
 )
 from .partition import (
     PartitionMultiset,
+    TableBudgetError,
     kostant_partition,
     partition_genfunc,
     partition_genfunc_batch,
@@ -52,6 +53,7 @@ __all__ = [
     "PartitionMultiset",
     "QPolynomial",
     "RootSystem",
+    "TableBudgetError",
     "Weight",
     "WeylElement",
     "alternation_set",

@@ -6,6 +6,18 @@ plain multiplicity is its value at q = 1.  Restricting the sum to the
 alternation set is lossless because every excluded element contributes the
 zero polynomial.
 
+For dominant lam, sigma(lam+rho) <= lam+rho, so every xi_sigma lies in the
+box xi_id = lam - mu, known before the search; one genfunc table over it
+serves every element (see ``partition``).  Its plain pass gives each
+p(xi_sigma) and so m.  m_q itself is summed once, at q = 2^w, from one
+pass evaluated there, and decoded in balanced digits; w must hold every
+coefficient of m_q, each at most B in absolute value.  For dominant mu
+the coefficients are nonnegative (Kato, Invent. Math. 66 (1982);
+Lusztig, Asterisque 101-102 (1983)) and sum to m, so B = m; for any other
+mu the triangle inequality gives B = sum of p(xi_sigma).  Every record's
+graded value is left to a graded pass over the same table, run only when
+one is read.
+
 For the adjoint representation and the zero weight the polynomial equals
 sum_i q^(e_i) over the exponents e_1, ..., e_r of the algebra;
 :func:`verify_exponents` checks this identity together with the classical
@@ -17,12 +29,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from math import prod
+from operator import mul
 from typing import Optional, Sequence, Union
 
-from .partition import partition_genfunc_batch, partition_tree_count
+from .partition import (
+    _as_int_vec,
+    _GenfuncTable,
+    check_table_budget,
+    partition_genfunc_batch,
+    partition_tree_count,
+)
 from .qpoly import QPolynomial
-from .rootsys import LieType, RootSystem, Weight
+from .rootsys import IntVec, LieType, RootSystem, Weight
 from .weyl import (
     DEFAULT_MAX_GROUP_ORDER,
     AlternationRecord,
@@ -87,19 +107,14 @@ class MultiplicityResult:
     method: str
 
 
-def _fill_pq(
-    rs: RootSystem, records: Sequence[AlternationRecord], method: str = "genfunc"
-) -> list[AlternationRecord]:
-    if method == "genfunc":
-        pqs = partition_genfunc_batch(rs, [rec.xi for rec in records])
-    elif method == "tree":
-        pqs = [partition_tree_count(rs, rec.xi) for rec in records]
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'tree' or 'genfunc'")
-    return [
-        AlternationRecord(rec.element, rec.xi, rec.sign, pq)
-        for rec, pq in zip(records, pqs)
-    ]
+def _mu_is_dominant(rs: RootSystem, lam: Weight, xi_id: IntVec) -> bool:
+    """Whether mu = lam - xi_id is dominant: <mu, alpha_i^vee> is
+    <lam, alpha_i^vee> minus row i of the Cartan matrix applied to xi_id,
+    all in ints when lam's coefficients are."""
+    return all(
+        sum(map(mul, row, lam.coeffs)) >= sum(map(mul, row, xi_id))
+        for row in rs.cartan
+    )
 
 
 def compute_mq(
@@ -114,17 +129,44 @@ def compute_mq(
     record) or "tree" (the memoised recursion, kept as a cross-check).
 
     lam must be dominant integral (ValueError otherwise).  Unless mu is
-    dominant too, the polynomial may have negative coefficients.
+    dominant too, the polynomial may have negative coefficients.  Every
+    xi_sigma lies in the box lam - mu, and distinct sigma give distinct
+    xi_sigma, so one budget on the table over that box bounds the search
+    and the table alike: past it, TableBudgetError (a ValueError) is raised
+    before any work.
+
+    With genfunc, m_q is read from one pass evaluated at q = 2^w (module
+    notes); a record's ``pq`` is computed when it is first read, by one
+    graded pass over the same table for all of them.
     """
     lam = rs.highest_root if lam is None else lam
     mu = rs.zero_weight() if mu is None else mu
-    records = _fill_pq(rs, alternation_set(rs, lam, mu), method)
-    mq = sum(
-        (rec.pq if rec.sign > 0 else -rec.pq for rec in records), QPolynomial.zero()
-    )
+    if method not in ("genfunc", "tree"):
+        raise ValueError(f"unknown method {method!r}; expected 'tree' or 'genfunc'")
+    box = _as_int_vec(rs, lam - mu)
+    if box is not None:
+        check_table_budget(rs, box)
+    records = alternation_set(rs, lam, mu)
     # Nonnegativity is a theorem only for dominant lam and mu (Kato 1982,
     # Lusztig 1983); alternation_set has already rejected a non-dominant lam.
-    if any(c < 0 for c in mq.coeffs) and rs.is_dominant(mu):
+    dominant = bool(records) and _mu_is_dominant(rs, lam, box)
+    if method == "tree":
+        records = [
+            AlternationRecord(
+                rec.element, rec.xi, rec.sign, partition_tree_count(rs, rec.xi)
+            )
+            for rec in records
+        ]
+        mq = sum(
+            (rec.pq if rec.sign > 0 else -rec.pq for rec in records),
+            QPolynomial.zero(),
+        )
+        m = mq.at_one()
+    elif records:
+        mq, m, records = _evaluated_mq(rs, box, records, dominant)
+    else:
+        mq, m = QPolynomial.zero(), 0
+    if dominant and any(c < 0 for c in mq.coeffs):
         raise RuntimeError(
             f"negative coefficient in m_q({lam!r}, {mu!r}) over {rs.lie_type}: "
             f"{list(mq.coeffs)} -- this indicates a bug"
@@ -134,10 +176,47 @@ def compute_mq(
         lam=lam,
         mu=mu,
         mq=mq,
-        m=mq.at_one(),
+        m=m,
         records=tuple(records),
         method=method,
     )
+
+
+def _evaluated_mq(
+    rs: RootSystem,
+    box: IntVec,
+    records: Sequence[AlternationRecord],
+    dominant: bool,
+) -> tuple[QPolynomial, int, list[AlternationRecord]]:
+    """m_q, m and the records with a lazy ``pq``, from one table over
+    ``box``: m from the plain pass, m_q from one pass evaluated at q = 2^w,
+    w wide enough for every coefficient (module notes)."""
+    table = _GenfuncTable(rs, box)
+    xis = [rec.xi.coeffs for rec in records]
+    # sigma(lam + rho) <= lam + rho for dominant lam, so every xi is <= box
+    top = tuple(map(max, *xis, box))
+    if top != box:
+        raise RuntimeError(
+            f"some xi reaches {top}, outside the box {box} -- this indicates a bug"
+        )
+    counts = [table.count(v) for v in xis]
+    m = sum(c if rec.sign > 0 else -c for c, rec in zip(counts, records))
+    # Every coefficient of m_q is at most B in absolute value: B = m when
+    # the coefficients are nonnegative (dominant mu), the sum of the
+    # |terms| at q = 1 otherwise.
+    mq = table.signed_sum(
+        zip((rec.sign for rec in records), xis), m if dominant else sum(counts)
+    )
+    if mq.at_one() != m:
+        raise RuntimeError(
+            f"m_q(1) = {mq.at_one()} but the plain counts give m = {m} over "
+            f"{rs.lie_type} -- this indicates a bug"
+        )
+    filled = [
+        AlternationRecord(rec.element, rec.xi, rec.sign, partial(table, v))
+        for rec, v in zip(records, xis)
+    ]
+    return mq, m, filled
 
 
 def compute_m(

@@ -7,7 +7,8 @@ Two independent algorithms produce the same graded count:
   subtract while the residual stays nonnegative; a zero residual closes one
   successful branch, and identical (root index, residual) subproblems are
   shared through a per-type memo table, which skips the roots that do not
-  fit the residual rather than storing their count (mostly zero);
+  fit the residual rather than storing their count (mostly zero); the
+  lister walks the same tree with a stack of its own;
 
 * the generating-function method: the truncated expansion of the product of
   geometric series 1/(1 - q x_beta) over the positive roots, realised as a
@@ -33,18 +34,40 @@ total height h (:func:`_multisets_by_height`).
 * The tree memo takes L = M(H).bit_length(), H the largest height its
   residual field can hold, so L covers every residual in the memo.
 
+Genfunc passes.  One kernel, ``_GenfuncTable._run``, makes three passes
+that differ only in the cell width and in how far one copy of a root
+moves a count (``qshift``); H = ht(box) is the largest degree a cell can
+reach, since a partition of v uses at most ht(v) roots.
+
+* The plain pass, on construction: q = 1, no shift, cells of
+  M(H).bit_length() bits.  It gives p(v) for every cell and the limb L.
+* The graded pass, on the first read of a graded count: a shift of one
+  limb, cells of (H + 1) * L bits, one limb per degree.
+* The pass evaluated at q = 2^w, for a signed sum of graded counts whose
+  coefficients all lie in [-B, B], w = B.bit_length() + 1 (at least 2):
+  a shift of w bits.  The kernel is linear and a copy of a root moves a
+  count w bits up, so cell v ends at P_v(2^w) exactly, where P_v is the
+  graded count of v; every partial value of the cell is at most
+  P_v(2^w) <= p(v) 2^(w ht(v)) < 2^(L + w H), so cells of H * w + L bits
+  never carry into a neighbour (169 bits on the E8 theta box against 720
+  for the graded pass).  The signed sum of the cells is then the sum's
+  value at 2^w, and its balanced base-2^w digits are its coefficients
+  (Kronecker substitution; :meth:`QPolynomial.from_balanced`).
+
+Table budget.  Before any work a table is refused (TableBudgetError)
+when its graded pass would take more than ``TABLE_BUDGET_BITS``: cells *
+(H + 1) * M(H).bit_length() bits, known from the box alone.
+
 Genfunc slab layout.  The box axes split into outer axes and an inner
 suffix, the longest run of trailing axes with at most ``SLAB_CELLS`` cells.
-Each outer position holds one bigint slab with every inner cell at a
-uniform width: one limb in the plain pass, and (H + 1) * L bits in the
-graded pass, H = ht(box), which fits any degree a cell can reach.  Both
-passes follow one per-root plan of offsets, outer positions and inner
-steps.  A root with a nonzero outer part costs one masked shift-add per
-outer position of its sub-box, in increasing order, so later positions see
-earlier updates; a root inside the inner axes repeats its masked shift
-within each slab until nothing is left.  The mask of a root keeps the
-cells whose image stays in the box; each pass keys its masks by the root's
-inner part.
+Each outer position holds one bigint slab with every inner cell at the
+pass's uniform width.  Every pass follows one per-root plan of offsets,
+outer positions and inner steps.  A root with a nonzero outer part costs
+one masked shift-add per outer position of its sub-box, in increasing
+order, so later positions see earlier updates; a root inside the inner
+axes repeats its masked shift within each slab until nothing is left.
+The mask of a root keeps the cells whose image stays in the box; each pass
+keys its masks by the root's inner part.
 
 Tree memo key.  The residual is one int with a fixed number of bits per
 coordinate plus a guard bit, so subtracting a root is one subtraction and
@@ -58,8 +81,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from operator import lshift, mul
-from typing import Callable, Optional, Sequence
+from operator import lshift, mul, sub
+from typing import Callable, Iterable, Optional, Sequence
 
 from .qpoly import QPolynomial
 from .rootsys import IntVec, LieType, RootSystem, Weight
@@ -67,6 +90,15 @@ from .rootsys import IntVec, LieType, RootSystem, Weight
 # Cells per genfunc slab.  64 was fastest on the E8 adjoint box and on
 # small boxes alike; 256 was two to three times slower on small boxes.
 SLAB_CELLS = 64
+
+# The largest graded genfunc table, in bits, that a computation may plan
+# (2^33 bits is 1 GiB): the E8 adjoint box plans 1.7e8 and A6 at rho 2.4e7.
+TABLE_BUDGET_BITS = 1 << 33
+
+
+class TableBudgetError(ValueError):
+    """Raised, before any work, when a genfunc table would exceed
+    :data:`TABLE_BUDGET_BITS`."""
 
 
 class _TreeMemo:
@@ -131,6 +163,23 @@ class PartitionMultiset:
 
     def latex(self, rs: RootSystem) -> str:
         return self._render(rs, Weight.latex)
+
+
+def check_table_budget(rs: RootSystem, box: IntVec) -> int:
+    """The plain pass's cell width over ``box``, M(H).bit_length() with
+    H = ht(box), once the graded table it plans, cells * (H + 1) * that many
+    bits, is known to fit :data:`TABLE_BUDGET_BITS`; else TableBudgetError.
+    A cell takes at least one bit, so a box whose cells * (H + 1) alone is
+    over the budget is refused before M(H) is computed."""
+    cells, top = prod(b + 1 for b in box), sum(box)
+    if cells * (top + 1) <= TABLE_BUDGET_BITS:
+        wide = _multisets_by_height(tuple(map(sum, rs.root_vectors)), top).bit_length()
+        if cells * (top + 1) * wide <= TABLE_BUDGET_BITS:
+            return wide
+    raise TableBudgetError(
+        f"{rs.lie_type}: a partition table of {cells} cells up to height {top} "
+        f"is over the budget of {TABLE_BUDGET_BITS} bits"
+    )
 
 
 def _as_int_vec(rs: RootSystem, xi: Weight) -> Optional[IntVec]:
@@ -200,7 +249,7 @@ def _tree_count_packed(rs: RootSystem, memo: _TreeMemo, target: IntVec) -> int:
 
 
 def _too_deep(rs: RootSystem) -> ValueError:
-    """The tree kernels recurse up to once per positive root.  A memo entry
+    """The tree count recurses up to once per positive root.  A memo entry
     is stored only once complete, so a failed call leaves the memo sound."""
     return ValueError(
         f"{rs.lie_type} has {len(rs.root_vectors)} positive roots, "
@@ -229,52 +278,57 @@ def partition_tree_count(rs: RootSystem, xi: Weight) -> QPolynomial:
 
 def partition_tree_list(rs: RootSystem, xi: Weight) -> list[PartitionMultiset]:
     """The explicit partitions behind :func:`partition_tree_count`, in
-    depth-first order (copies of each root tried in increasing number)."""
+    depth-first order (copies of each root tried in increasing number).
+
+    The walk keeps its own stack, one frame per root it has opened, and
+    skips a root that does not fit the residual, as the count does; so no
+    recursion limit applies.  The listing has p(xi) entries, and a weight
+    whose genfunc table is past the budget is refused (TableBudgetError)
+    before any work.
+    """
     target = _as_int_vec(rs, xi)
     if target is None:
         return []
+    check_table_budget(rs, target)
     roots = rs.root_vectors
     n = len(roots)
-    r = rs.rank
-    zero = (0,) * r
+    zero = (0,) * rs.rank
     out: list[PartitionMultiset] = []
     mults = [0] * n
-
-    def rec(k: int, res: IntVec) -> None:
-        if res == zero:
-            out.append(PartitionMultiset(tuple(mults)))
-            return
-        if k == n:
-            return
-        rec(k + 1, res)
-        root = roots[k]
-        cur = list(res)
-        m = 0
-        while True:
-            ok = True
-            for j in range(r):
-                cur[j] -= root[j]
-                if cur[j] < 0:
-                    ok = False
-            if not ok:
+    stack: list[tuple[int, IntVec]] = []  # (root, residual after its copies)
+    k, res = 0, target
+    while True:
+        # descend, taking zero copies of each fitting root, to a leaf
+        while res != zero:
+            while k < n and not all(map(int.__ge__, res, roots[k])):
+                k += 1
+            if k == n:
                 break
-            m += 1
-            mults[k] = m
-            rec(k + 1, tuple(cur))
-        mults[k] = 0
-
-    try:
-        rec(0, target)
-    except RecursionError:
-        raise _too_deep(rs) from None
-    return out
+            stack.append((k, res))
+            k += 1
+        else:
+            out.append(PartitionMultiset(tuple(mults)))
+        # back up to the deepest root that takes one more copy
+        while stack:
+            j, cur = stack.pop()
+            cur = tuple(map(sub, cur, roots[j]))
+            if min(cur) >= 0:
+                mults[j] += 1
+                stack.append((j, cur))
+                k, res = j + 1, cur
+                break
+            mults[j] = 0
+        else:
+            return out
 
 
 class _GenfuncTable:
-    """Graded counts of every weight in a box, by the slab kernel run twice
-    over one per-root plan (module notes): ``table(v)`` is the graded count
-    of v, ``table.count(v)`` its plain count and ``table.limb`` the limb of
-    the graded pass.  A plain class, as for :class:`_TreeMemo`.
+    """Graded counts of every weight in a box, by the slab kernel run over
+    one per-root plan (module notes): ``table.count(v)`` is the plain count
+    of v, ``table.limb`` the limb of the graded pass, ``table(v)`` the graded
+    count of v and :meth:`signed_sum` a signed sum of graded counts.  The
+    plain pass runs on construction, the graded pass on the first
+    ``table(v)``.  A plain class, as for :class:`_TreeMemo`.
 
     Cell v accumulates, root by root, the coefficient of the monomial of v
     in the truncated product of the series 1 + q x + q^2 x^2 + ... for each
@@ -282,11 +336,12 @@ class _GenfuncTable:
     """
 
     __slots__ = (
-        "limb", "_split", "_dims", "_strides", "_wide", "_counts", "_cell_bits",
-        "_slabs",
+        "limb", "_plan", "_top", "_split", "_dims", "_strides", "_wide",
+        "_counts", "_slabs",
     )
 
     def __init__(self, rs: RootSystem, box: IntVec) -> None:
+        self._wide = check_table_budget(rs, box)
         r = rs.rank
         dims = [b + 1 for b in box]
         split, inner_cells = r, 1
@@ -319,34 +374,26 @@ class _GenfuncTable:
                 sub_boxes[outer] = positions
             step = sum(map(mul, inner, strides[split:]))
             plan.append((inner, step, off, positions))
-        top = sum(box)
-        heights = tuple(map(sum, rs.root_vectors))
-        self._wide = _multisets_by_height(heights, top).bit_length()
-        self._counts = self._run(plan, self._wide, 0)
+        self._plan, self._top = plan, sum(box)
+        self._counts = self._run(self._wide, 0)
         self.limb = self.count(box).bit_length()
-        self._cell_bits = (top + 1) * self.limb
-        self._slabs = self._run(plan, self._cell_bits, self.limb)
+        self._slabs: Optional[list[int]] = None
 
-    def _run(
-        self,
-        plan: list[tuple[IntVec, int, int, Optional[list[int]]]],
-        cell_bits: int,
-        qshift: int,
-    ) -> list[int]:
+    def _run(self, cell_bits: int, qshift: int) -> list[int]:
         """One pass of the kernel with cells ``cell_bits`` wide; each copy of
-        a root moves a count ``qshift`` bits up (one limb in the graded
-        pass, none in the plain one)."""
+        a root moves a count ``qshift`` bits up: none in the plain pass, one
+        limb in the graded pass, w bits in the pass evaluated at q = 2^w."""
         split, dims, strides = self._split, self._dims, self._strides
         r = len(dims)
         cell_mask = (1 << cell_bits) - 1
         slabs = [0] * prod(dims[:split])
         slabs[0] = 1
         masks: dict[IntVec, int] = {}  # inner part of a root -> its mask
-        for inner, step, off, positions in plan:
+        for inner, step, off, positions in self._plan:
             shift = step * cell_bits + qshift
             if not step:
-                # every cell keeps its slot; a graded source cell's top limb
-                # is empty, since its degree is below H
+                # every cell keeps its slot, and its value times q^1 is part
+                # of the target cell's, so it still fits the cell
                 for p in positions:
                     slabs[p + off] += slabs[p] << shift
                 continue
@@ -386,8 +433,25 @@ class _GenfuncTable:
         return self._cell(self._counts, v, self._wide)
 
     def __call__(self, v: IntVec) -> QPolynomial:
-        cell = self._cell(self._slabs, v, self._cell_bits)
+        """The graded count of v, from the graded pass, run on first use."""
+        cell_bits = (self._top + 1) * self.limb
+        if self._slabs is None:
+            self._slabs = self._run(cell_bits, self.limb)
+        cell = self._cell(self._slabs, v, cell_bits)
         return QPolynomial.from_packed(cell, self.limb)
+
+    def signed_sum(
+        self, terms: Iterable[tuple[int, IntVec]], bound: int
+    ) -> QPolynomial:
+        """Sum of sign * (graded count of v) over the (sign, v) of ``terms``,
+        whose coefficients must lie in [-bound, bound]: one pass evaluated
+        at q = 2^w, w = bound.bit_length() + 1 (at least 2), summed and then
+        decoded once in balanced digits (module notes)."""
+        width = max(2, bound.bit_length() + 1)
+        cell_bits = self._top * width + self.limb
+        slabs = self._run(cell_bits, width)
+        total = sum(sign * self._cell(slabs, v, cell_bits) for sign, v in terms)
+        return QPolynomial.from_balanced(total, width)
 
 
 def partition_genfunc(rs: RootSystem, xi: Weight) -> QPolynomial:

@@ -11,7 +11,10 @@ vector as one big integer, coefficient i in bits [i*bits, (i+1)*bits),
 because bigint shift-and-add is far faster in CPython than per-coefficient
 list arithmetic.  The limb width ``bits`` is not fixed here: each kernel
 proves a bound on every value it will hold and passes that width to
-:meth:`QPolynomial.from_packed` (see ``partition``).
+:meth:`QPolynomial.from_packed` (see ``partition``).  A signed sum of
+polynomials evaluated at q = 2**bits, whose coefficients are known to be
+small, is decoded once in balanced digits by
+:meth:`QPolynomial.from_balanced`.
 
 Every signed sum the library prints is written by :func:`signed_sum`: the
 four forms of a polynomial differ only in how they spell q^p, and a
@@ -92,6 +95,26 @@ class QPolynomial:
         while packed:
             cs.append(packed & mask)
             packed >>= bits
+        return cls(cs)
+
+    @classmethod
+    def from_balanced(cls, value: int, bits: int) -> "QPolynomial":
+        """The polynomial whose coefficients lie in [-2**(bits-1),
+        2**(bits-1)) and whose value at q = 2**bits is ``value``; it is
+        unique, so this inverts that evaluation on every such polynomial.
+        ``bits`` must be at least 2 (with one bit, 1 has no expansion).
+
+        >>> QPolynomial.from_balanced(2 - 3 * 8 + 1 * 64, 3).coeffs
+        (2, -3, 1)
+        """
+        if bits < 2:
+            raise ValueError("balanced digits need at least 2 bits")
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        cs = []
+        while value:
+            c = ((value + half) & mask) - half
+            cs.append(c)
+            value = (value - c) >> bits
         return cls(cs)
 
     def pack(self, bits: int) -> int:

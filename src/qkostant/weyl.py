@@ -21,10 +21,10 @@ before building its matrix, together with its subtree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Union
 
 from .qpoly import QPolynomial
 from .rootsys import IntVec, Matrix, RootSystem, Weight
@@ -189,12 +189,28 @@ def group_order_bfs(rs: RootSystem, max_order: int = DEFAULT_MAX_GROUP_ORDER) ->
 @dataclass(frozen=True)
 class AlternationRecord:
     """One contributing Weyl element: sigma, xi = sigma(lam+rho)-(rho+mu),
-    the sign (-1)^length, and (once filled) the graded partition value."""
+    the sign (-1)^length, and (once filled) the graded partition value.
+
+    ``pq`` is None when unset.  It may be given as a QPolynomial or as a
+    function of no arguments that computes it, called on the first read
+    only.  It is a function of xi, so it takes no part in equality.
+    """
 
     element: WeylElement
     xi: Weight
     sign: int
-    pq: Optional[QPolynomial] = None
+    _pq: Union[QPolynomial, Callable[[], QPolynomial], None] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def pq(self) -> Optional[QPolynomial]:
+        pq = self._pq
+        if pq is None or isinstance(pq, QPolynomial):
+            return pq
+        pq = pq()
+        object.__setattr__(self, "_pq", pq)
+        return pq
 
 
 def alternation_set(

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -276,8 +277,36 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot parse coefficient list ''")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the search alone ran for minutes here before the budget
+            ("mult", "E8", "--lambda", "1,1,1,1,1,1,1,1", "--basis", "omega"),
+            ("partition", "A45", "--xi", ",".join(["1"] * 45)),
+        ],
+        ids=["mult-E8-rho", "partition-A45-ones"],
+    )
+    def test_table_over_budget(self, capsys, argv):
+        # refused before any work: 6.7e14 and 3.5e13 planned cells
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {argv[1]}: a partition table of ")
+        assert len(err.splitlines()) == 1
+
+    def test_list_partitions_a45(self, capsys):
+        # 1,035 positive roots: the lister keeps its own stack
+        xi = "1,1" + ",0" * 43
+        code, out, err = run(capsys, "list-partitions", "A45", "--xi", xi)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "q^1 + q^2", "℘ = 2", "1(α1 + α2)", "1(α1) + 1(α2)"
+        ]
+
     def test_tree_too_deep(self, capsys):
-        # never without --method tree: genfunc would plan 2^45 cells
+        # the tree count recurses once per root; the genfunc default is
+        # refused by the table budget instead (test_table_over_budget)
         ones = ",".join(["1"] * 45)
         code, out, err = run(
             capsys, "partition", "A45", "--xi", ones, "--method", "tree"

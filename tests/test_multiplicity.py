@@ -9,15 +9,19 @@ import golden_tables as gt
 from qkostant import (
     QPolynomial,
     Weight,
+    apply,
     build_root_system,
     compute_m,
     compute_mq,
     enumerate_group,
     full_group_mq,
+    partition_genfunc,
     reference_exponents,
+    simple_reflection,
     verify_exponents,
     weyl_group_order,
 )
+from qkostant.partition import _GenfuncTable
 from support import random_dominant_pair
 
 
@@ -84,6 +88,8 @@ class TestComputeMq:
         res = compute_mq(rs, rs.zero_weight(), mu)
         assert res.mq.coeffs == (0, -1, 1, 1, -1, -1, 1)
         assert res.mq == full_group_mq(rs, rs.zero_weight(), mu)
+        assert res.mq == signed_pq_sum(res)
+        assert res.m == res.mq.at_one() == 0
 
     @pytest.mark.parametrize("name,lam", [("A2", [-1, 0]), ("A1", ["1/4"])])
     def test_lambda_not_dominant_integral(self, name, lam):
@@ -96,6 +102,94 @@ class TestComputeMq:
         for name in ["A1", "A4", "B3", "C3", "D4", "G2", "F4", "E6"]:
             rs = build_root_system(name)
             assert compute_m(rs) == rs.rank
+
+
+def signed_pq_sum(res):
+    """The signed sum of the records' graded values, read one by one."""
+    return sum(
+        (rec.pq if rec.sign > 0 else -rec.pq for rec in res.records),
+        QPolynomial.zero(),
+    )
+
+
+# (type, random pairs): A to G up to rank 5, groups small enough to enumerate
+AGREEMENT_CASES = [
+    ("A1", 3), ("A2", 4), ("A3", 3), ("A4", 2), ("A5", 1), ("B2", 4),
+    ("B3", 2), ("C3", 2), ("C4", 1), ("D4", 2), ("G2", 4), ("F4", 1),
+]
+
+
+def comparable_pair(rs, rng):
+    """A random dominant pair with mu <= lam, so that the identity, and so
+    every simple reflection of mu, has a nonempty alternation set."""
+    while True:
+        lam, mu = random_dominant_pair(rs, rng)
+        if (lam - mu).nonnegative_ints() is not None:
+            return lam, mu
+
+
+class TestEvaluatedPass:
+    """m_q from one pass at q = 2^L against the graded values of the records
+    and against the sum over the whole group."""
+
+    def test_agrees_with_graded_values_and_full_group(self):
+        rng = Random(1111)
+        for name, pairs in AGREEMENT_CASES:
+            rs = build_root_system(name)
+            group = enumerate_group(rs)
+            reflections = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+            for _ in range(pairs):
+                lam, mu = comparable_pair(rs, rng)
+                for nu in [mu] + [apply(s, mu) for s in reflections]:
+                    res = compute_mq(rs, lam, nu)
+                    assert res.mq == signed_pq_sum(res), (name, lam, nu)
+                    assert res.mq == full_group_mq(rs, lam, nu, elements=group)
+                    assert res.m == res.mq.at_one()
+
+    @pytest.mark.parametrize(
+        "name,lam,mu,coeffs",
+        [
+            # dominant mu: m = 3, so w = 3 holds the coefficient 2
+            ("C3", (0, 2, 0), (0, 1, 0), (0, 0, 2, 0, 1)),
+            # non-dominant mu: m = 0, the coefficient 2 needs the sum of p
+            ("A2", (0, 0), (-2, -2), (-1, 2, -1, -1, 1)),
+        ],
+    )
+    def test_width_holds_the_largest_coefficient(self, name, lam, mu, coeffs):
+        rs = build_root_system(name)
+        lam, mu = rs.omega_to_alpha(lam), rs.omega_to_alpha(mu)
+        res = compute_mq(rs, lam, mu)
+        assert res.mq.coeffs == coeffs
+        assert res.mq == signed_pq_sum(res) == full_group_mq(rs, lam, mu)
+        assert res.m == res.mq.at_one()
+
+    def test_e8_evaluated_cells_fit(self):
+        # every cell of the pass at q = 2^L, run with 16 spare bits per cell,
+        # is below 2^(H L + limb), and the narrow pass holds the same cells:
+        # no cell carries into its neighbour
+        rs = build_root_system("E8")
+        box = tuple(int(c) for c in rs.highest_root)
+        table = _GenfuncTable(rs, box)
+        width = compute_mq(rs).m.bit_length() + 1
+        narrow = sum(box) * width + table.limb
+        assert (width, narrow) == (5, 169)
+        spare = narrow + 16
+        fits, loose = table._run(narrow, width), table._run(spare, width)
+        per_slab = prod(table._dims[table._split:])
+        for tight, roomy in zip(fits, loose):
+            assert roomy >> (per_slab * spare) == 0
+            for c in range(per_slab):
+                cell = (roomy >> (c * spare)) & ((1 << spare) - 1)
+                assert cell < 1 << narrow
+                assert cell == (tight >> (c * narrow)) & ((1 << narrow) - 1)
+
+    def test_e8_lazy_records_match_partition_genfunc(self):
+        rs = build_root_system("E8")
+        res = compute_mq(rs)
+        assert res.m == res.mq.at_one() == 8
+        for rec in Random(12).sample(res.records, 10):
+            assert rec.pq == partition_genfunc(rs, rec.xi)
+        assert res.mq == signed_pq_sum(res)
 
 
 class TestFullGroupCrossCheck:

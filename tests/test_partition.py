@@ -9,6 +9,7 @@ import pytest
 
 from qkostant import (
     QPolynomial,
+    TableBudgetError,
     Weight,
     build_root_system,
     kostant_partition,
@@ -220,9 +221,13 @@ class TestTreeList:
                     grades.get(i, 0) for i in range(max(grades, default=-1) + 1)
                 )
 
-    def test_too_deep_is_a_value_error(self):
+    def test_a45_listing_is_budgeted(self):
+        # the walk keeps its own stack, so 1,035 roots are no recursion
+        # problem; all-ones has 2^44 partitions and is refused before work
         rs = build_root_system("A45")
-        with pytest.raises(ValueError, match="^A45 has 1035 positive roots"):
+        parts = partition_tree_list(rs, Weight([1, 1] + [0] * 43))
+        assert [p.text(rs) for p in parts] == ["1(α1 + α2)", "1(α1) + 1(α2)"]
+        with pytest.raises(TableBudgetError, match="^A45: a partition table of"):
             partition_tree_list(rs, Weight([1] * 45))
 
     def test_text(self):
