@@ -13,7 +13,7 @@ are comma-separated coefficient lists (fractions like 3/2 allowed), read in
 the simple-root basis by default or in the fundamental-weight basis with
 ``--basis omega``.  Output formats: text (default), json, csv, latex; every
 csv table goes through one writer.  Counts come from the generating-function
-kernel; ``partition --method tree`` asks the tree kernel instead.
+kernel, and ``list-partitions`` refuses a listing past the table budget.
 ``verify`` takes Lie types, ``--format``, ``--out`` and
 ``--max-group-order``.  Each subparser names the function that runs it.
 A ``ValueError`` (bad input, or one the library raises) or an ``OSError``
@@ -35,11 +35,7 @@ from .multiplicity import (
     compute_mq,
     verify_exponents,
 )
-from .partition import (
-    partition_genfunc,
-    partition_tree_count,
-    partition_tree_list,
-)
+from .partition import partition_genfunc, partition_tree_list
 from .rootsys import RootSystem, Weight, build_root_system
 from .weyl import DEFAULT_MAX_GROUP_ORDER, word_str
 
@@ -148,7 +144,6 @@ def _mult_payload(result: MultiplicityResult) -> dict:
         "type": str(result.lie_type),
         "lambda": _weight_json(result.lam),
         "mu": _weight_json(result.mu),
-        "method": result.method,
         "count": len(result.records),
         "mq": list(result.mq.coeffs),
         "mq_text": result.mq.compact_text(),
@@ -161,11 +156,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     """``partition`` and ``list-partitions``, which also lists them."""
     rs = build_root_system(args.type)
     xi = _input_weight(rs, args.xi, args.basis)
-    pq = (
-        partition_tree_count(rs, xi)
-        if args.method == "tree"
-        else partition_genfunc(rs, xi)
-    )
+    pq = partition_genfunc(rs, xi)
     count = pq.at_one()
     partitions = partition_tree_list(rs, xi) if args.listing else None
 
@@ -173,7 +164,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         payload = {
             "type": str(rs.lie_type),
             "xi": _weight_json(xi),
-            "method": args.method,
             "pq": list(pq.coeffs),
             "pq_text": pq.text(),
             "p": count,
@@ -336,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         "partition", parents=[typed, common], help="graded partition count"
     )
     p_part.add_argument("--xi", metavar="COEFFS", required=True)
-    p_part.add_argument("--method", choices=("tree", "genfunc"), default="genfunc")
     p_part.set_defaults(run=_cmd_partition, listing=False)
 
     p_list = sub.add_parser(
@@ -345,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit partitions of a weight",
     )
     p_list.add_argument("--xi", metavar="COEFFS", required=True)
-    p_list.set_defaults(run=_cmd_partition, listing=True, method="genfunc")
+    p_list.set_defaults(run=_cmd_partition, listing=True)
 
     for name, help_text in (
         ("altset", "contributing Weyl elements"),

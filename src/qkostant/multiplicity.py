@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from math import prod
-from operator import mul
 from typing import Optional, Sequence, Union
 
 from .partition import (
@@ -104,17 +103,6 @@ class MultiplicityResult:
     mq: QPolynomial
     m: int
     records: tuple[AlternationRecord, ...]
-    method: str
-
-
-def _mu_is_dominant(rs: RootSystem, lam: Weight, xi_id: IntVec) -> bool:
-    """Whether mu = lam - xi_id is dominant: <mu, alpha_i^vee> is
-    <lam, alpha_i^vee> minus row i of the Cartan matrix applied to xi_id,
-    all in ints when lam's coefficients are."""
-    return all(
-        sum(map(mul, row, lam.coeffs)) >= sum(map(mul, row, xi_id))
-        for row in rs.cartan
-    )
 
 
 def compute_mq(
@@ -125,8 +113,9 @@ def compute_mq(
 ) -> MultiplicityResult:
     """q-analog multiplicity of mu in the highest-weight representation of
     lam, from the alternation set; defaults are the highest root and zero.
-    ``method`` picks the partition kernel: "genfunc" (one table for every
-    record) or "tree" (the memoised recursion, kept as a cross-check).
+    Counts come from the genfunc kernel.  ``method="tree"`` counts each
+    record with :func:`partition_tree_count` instead; it exists only as a
+    cross-check of the two kernels, which the benchmark's smoke test runs.
 
     lam must be dominant integral (ValueError otherwise).  Unless mu is
     dominant too, the polynomial may have negative coefficients.  Every
@@ -149,7 +138,7 @@ def compute_mq(
     records = alternation_set(rs, lam, mu)
     # Nonnegativity is a theorem only for dominant lam and mu (Kato 1982,
     # Lusztig 1983); alternation_set has already rejected a non-dominant lam.
-    dominant = bool(records) and _mu_is_dominant(rs, lam, box)
+    dominant = bool(records) and rs.is_dominant(mu)
     if method == "tree":
         records = [
             AlternationRecord(
@@ -178,7 +167,6 @@ def compute_mq(
         mq=mq,
         m=m,
         records=tuple(records),
-        method=method,
     )
 
 

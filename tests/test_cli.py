@@ -84,12 +84,6 @@ class TestPartitionCommand:
         assert payload["p"] == 4
         assert payload["xi"] == [2, 2]
 
-    def test_tree_method(self, capsys):
-        code, out, _ = run(
-            capsys, "partition", "G2", "--xi", "2,2", "--method", "tree"
-        )
-        assert out.splitlines()[0] == "2q^2 + q^3 + q^4"
-
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "list-partitions", "G2", "--xi", "2,2")
         lines = out.splitlines()
@@ -278,21 +272,30 @@ class TestUsageErrors:
         assert err.startswith("error: cannot parse coefficient list ''")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, what",
         [
             # the search alone ran for minutes here before the budget
-            ("mult", "E8", "--lambda", "1,1,1,1,1,1,1,1", "--basis", "omega"),
-            ("partition", "A45", "--xi", ",".join(["1"] * 45)),
+            (
+                ("mult", "E8", "--lambda", "1,1,1,1,1,1,1,1", "--basis", "omega"),
+                "a partition table of ",
+            ),
+            (
+                ("partition", "A45", "--xi", ",".join(["1"] * 45)),
+                "a partition table of ",
+            ),
+            # a table in budget, but 8,931,457 partitions to list
+            (("list-partitions", "E8", "--xi", "2,3,4,6,5,4,3,2"), "a listing of "),
         ],
-        ids=["mult-E8-rho", "partition-A45-ones"],
+        ids=["mult-E8-rho", "partition-A45-ones", "list-partitions-E8-theta"],
     )
-    def test_table_over_budget(self, capsys, argv):
-        # refused before any work: 6.7e14 and 3.5e13 planned cells
+    def test_table_over_budget(self, capsys, argv, what):
+        # refused before any work: 6.7e14 and 3.5e13 planned cells, and
+        # before the first partition is listed
         started = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - started < 1
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {argv[1]}: a partition table of ")
+        assert err.startswith(f"error: {argv[1]}: {what}")
         assert len(err.splitlines()) == 1
 
     def test_list_partitions_a45(self, capsys):
@@ -303,19 +306,6 @@ class TestUsageErrors:
         assert out.splitlines() == [
             "q^1 + q^2", "℘ = 2", "1(α1 + α2)", "1(α1) + 1(α2)"
         ]
-
-    def test_tree_too_deep(self, capsys):
-        # the tree count recurses once per root; the genfunc default is
-        # refused by the table budget instead (test_table_over_budget)
-        ones = ",".join(["1"] * 45)
-        code, out, err = run(
-            capsys, "partition", "A45", "--xi", ones, "--method", "tree"
-        )
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: A45 has 1035 positive roots, "
-            "too many for the tree kernel's recursion\n"
-        )
 
     def test_unwritable_out(self, capsys, tmp_path):
         missing = tmp_path / "no-such-dir" / "result.txt"
@@ -334,11 +324,13 @@ class TestUsageErrors:
             ["verify", "G2", "--basis", "omega"],
             ["verify", "--type", "A1"],
             ["mult", "G2", "--type", "F4"],
+            ["partition", "G2", "--xi", "2,2", "--method", "tree"],
+            ["partition", "A45", "--xi", ",".join(["1"] * 45), "--method", "tree"],
         ],
     )
     def test_option_not_offered(self, capsys, argv):
-        # only partition offers --method, verify takes no --basis, and the
-        # type is positional only
+        # no subcommand offers --method (every count is genfunc), verify
+        # takes no --basis, and the type is positional only
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -18,7 +18,12 @@ from qkostant import (
     partition_tree_count,
     partition_tree_list,
 )
-from qkostant.partition import _TREE_CACHES, _GenfuncTable, _multisets_by_height
+from qkostant.partition import (
+    _TREE_CACHES,
+    _GenfuncTable,
+    _multisets_by_height,
+    check_table_budget,
+)
 from support import brute_force_pq
 
 G2 = build_root_system("G2")
@@ -113,14 +118,44 @@ class TestTreeCount:
             coords = [(res >> (j * width)) & field for j in range(rs.rank)]
             assert all(map(int.__ge__, coords, rs.root_vectors[k]))
 
-    def test_too_deep_is_a_value_error(self):
-        # the tree recurses up to once per root: 1,035 on A45
+    def test_a45_count_is_budgeted(self):
+        # all-ones plans 2^45 cells: refused before the memo is even made
         rs = build_root_system("A45")
-        with pytest.raises(ValueError, match="^A45 has 1035 positive roots"):
+        _TREE_CACHES.pop(rs.lie_type, None)
+        with pytest.raises(TableBudgetError, match="^A45: a partition table of"):
             partition_tree_count(rs, Weight([1] * 45))
-        # a memo entry is stored only once complete, so the memo stays sound
+        assert rs.lie_type not in _TREE_CACHES
         small = Weight([1, 2, 1] + [0] * 40 + [1, 1])
         assert partition_tree_count(rs, small) == partition_genfunc(rs, small)
+
+    @pytest.mark.parametrize("name, most", [("A45", 253), ("D40", 272)])
+    def test_budget_bounds_the_recursion(self, name, most):
+        # the tree's depth is at most the number of roots that fit xi, plus
+        # one; runs of ones fit the most roots of any in-budget weight found.
+        # No count is run: the budget depends on the run's length alone.
+        rs = build_root_system(name)
+        r = rs.rank
+        spans = [  # first and last simple root in each root of 0/1 coefficients
+            (v.index(1), r - 1 - v[::-1].index(1))
+            for v in rs.root_vectors
+            if max(v) == 1
+        ]
+
+        def in_budget(k):
+            try:
+                check_table_budget(rs, (1,) * k + (0,) * (r - k))
+            except TableBudgetError:
+                return False
+            return True
+
+        longest = next(k for k in range(r + 1) if not in_budget(k + 1))
+        assert not any(in_budget(k) for k in range(longest + 1, r + 1))
+        fitted = max(
+            sum(lo <= a and b < lo + k for a, b in spans)
+            for k in range(1, longest + 1)
+            for lo in range(r - k + 1)
+        )
+        assert fitted == most < 300
 
 
 class TestGenfunc:
@@ -229,6 +264,13 @@ class TestTreeList:
         assert [p.text(rs) for p in parts] == ["1(α1 + α2)", "1(α1) + 1(α2)"]
         with pytest.raises(TableBudgetError, match="^A45: a partition table of"):
             partition_tree_list(rs, Weight([1] * 45))
+
+    def test_listing_length_is_budgeted(self):
+        # the table over theta is in budget, its p = 8,931,457 partitions
+        # of 120 roots each are not
+        rs = build_root_system("E8")
+        with pytest.raises(TableBudgetError, match="^E8: a listing of 8931457 "):
+            partition_tree_list(rs, rs.highest_root)
 
     def test_text(self):
         parts = partition_tree_list(G2, Weight([2, 2]))

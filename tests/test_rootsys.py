@@ -199,6 +199,12 @@ class TestRootSystems:
             rs = build_root_system(name)
             assert rs.alpha_to_omega(rs.rho) == (Fraction(1),) * rs.rank
 
+    def test_int_weight_pairs_in_ints(self):
+        rs = build_root_system("E8")
+        pairings = rs.alpha_to_omega(rs.highest_root)
+        assert pairings == (0, 0, 0, 0, 0, 0, 0, 1)
+        assert {type(p) for p in pairings} == {int}
+
     def test_omega_alpha_round_trip(self):
         for name in ALL_TYPES_RANK8:
             rs = build_root_system(name)
