@@ -3,11 +3,19 @@
 Every count comes from the generating-function method: the truncated
 expansion of the product of geometric series 1/(1 - q x_beta) over the
 positive roots, realised as a dynamic program over the exponent box
-[0, xi_1] x ... x [0, xi_r].  The lister walks the tree of partitions
-(roots in canonical order, copies in increasing number) with its own stack.
-:func:`partition_tree_count`, a depth-first recursion over the same tree
-with a per-type memo of (root index, residual) subproblems that skips the
-roots not fitting the residual, is kept only as the cross-check.
+[0, xi_1] x ... x [0, xi_r].  The lister, and :func:`partition_tree_count`,
+kept only as the cross-check, walk the tree of partitions instead.
+
+The walk.  The simple roots come first in ``rs.root_vectors`` and form a
+basis, so they finish any nonnegative residual in exactly one way.  The walk
+runs over the other roots from index ``rank``, skips a root that does not
+fit the residual, and takes zero copies of a root first, then copies in
+increasing number; when the roots run out, ht(res) simple roots finish the
+residual res, so every leaf is a partition.  The lister sets
+``mults[:rank] = res`` there and sorts its leaves by multiplicity tuple, the
+depth-first order over all roots; the count returns q^ht(res), ht carried
+down, with a per-type memo of (root index, residual).  The depth is at most
+(non-simple roots fitting xi) + 1, bounded by the table budget.
 
 Both counts hold graded counts packed into big integers, a coefficient per
 limb of L bits (see qpoly).  L is proven, not guessed, by one bound.  Every
@@ -29,30 +37,29 @@ total height h (:func:`_multisets_by_height`).
 * The tree memo takes L = M(H).bit_length(), H the largest height its
   residual field can hold, so L covers every residual in the memo.
 
-Genfunc passes.  One kernel, ``_GenfuncTable._run``, makes three passes
+Genfunc passes.  One kernel, ``_GenfuncTable._run``, makes two passes
 that differ only in the cell width and in how far one copy of a root
 moves a count (``qshift``); H = ht(box) is the largest degree a cell can
 reach, since a partition of v uses at most ht(v) roots.
 
 * The plain pass, on construction: q = 1, no shift, cells of
   M(H).bit_length() bits.  It gives p(v) for every cell and the limb L.
-* The graded pass, on the first read of a graded count: a shift of one
-  limb, cells of (H + 1) * L bits, one limb per degree.
-* The pass evaluated at q = 2^w, for a signed sum of graded counts whose
-  coefficients all lie in [-B, B], w = B.bit_length() + 1 (at least 2):
-  a shift of w bits.  The kernel is linear and a copy of a root moves a
-  count w bits up, so cell v ends at P_v(2^w) exactly, where P_v is the
-  graded count of v; every partial value of the cell is at most
-  P_v(2^w) <= p(v) 2^(w ht(v)) < 2^(L + w H), so cells of H * w + L bits
-  never carry into a neighbour (169 bits on the E8 theta box against 720
-  for the graded pass).  The signed sum of the cells is then the sum's
-  value at 2^w, and its balanced base-2^w digits are its coefficients
-  (Kronecker substitution; :meth:`QPolynomial.from_balanced`).
+* The pass at q = 2^w (``_pass_at``): a shift of w bits.  The kernel is
+  linear, so cell v ends at P_v(2^w), P_v the graded count of v; every
+  partial value of the cell is at most P_v(2^w) <= p(v) 2^(w ht(v))
+  < 2^(L + w H), so cells of H * w + L bits never carry into a neighbour.
+  At w = L every coefficient is one limb: the graded pass (720-bit cells on
+  the E8 theta box), run on the first read of a graded count.  A signed sum
+  of graded counts with coefficients in [-B, B] takes w = B.bit_length() + 1
+  (at least 2; 169 bits): the signed sum of the cells is its value at 2^w,
+  and its balanced base-2^w digits are its coefficients (Kronecker
+  substitution; :meth:`QPolynomial.from_balanced`).
 
 Table budget.  Before any work a count or listing is refused
 (TableBudgetError) when the graded pass over its box would take more than
 ``TABLE_BUDGET_BITS``, cells * (H + 1) * M(H).bit_length() bits; a listing
-also when its p(xi) entries, 64 bits per positive root, would.
+also when its p(xi) entries, 8 bytes per positive root and ``_ENTRY_BYTES``
+more each, would.
 
 Genfunc slab layout.  The box axes split into outer axes and an inner
 suffix, the longest run of trailing axes with at most ``SLAB_CELLS`` cells.
@@ -91,6 +98,11 @@ SLAB_CELLS = 64
 # (2^33 bits is 1 GiB): the E8 adjoint box plans 1.7e8 and A6 at rho 2.4e7.
 TABLE_BUDGET_BITS = 1 << 33
 
+# Bytes a listed partition holds at the lister's peak besides 8 per positive
+# root (its tuple's header and list slots, the sort's scratch and its
+# PartitionMultiset: ~140 on CPython 3.11, more on 3.10), with room to spare.
+_ENTRY_BYTES = 384
+
 
 class TableBudgetError(ValueError):
     """Raised, before any work, when a genfunc table would exceed
@@ -110,9 +122,7 @@ class _TreeMemo:
         self.table: dict[int, int] = {}
 
 
-# Shared subtree results for the tree method, keyed by Lie type; a root
-# system is canonical for its type, so the memo is safe to reuse across
-# calls and grows with the weights actually visited.
+# The tree memo of each type; a root system is canonical for its type.
 _TREE_CACHES: dict[LieType, _TreeMemo] = {}
 _TREE_CACHE_LIMIT = 4_000_000
 
@@ -208,20 +218,19 @@ def _tree_count_packed(rs: RootSystem, memo: _TreeMemo, target: IntVec) -> int:
     fields = range(0, rs.rank * width, width)
     guards = sum(1 << (f + memo.bits) for f in fields)
     roots = [sum(map(lshift, v, fields)) for v in rs.root_vectors]
+    heights = list(map(sum, rs.root_vectors))
     n = len(roots)
     index_bits = n.bit_length()
     limb = memo.limb
     cache = memo.table
 
-    def rec(k: int, res: int) -> int:
-        if not res:
-            return 1
-        # A root that does not fit leaves the count to the roots after it,
-        # so it is skipped without a memo entry; a coordinate that went
-        # negative shows as a cleared guard bit.
+    def rec(k: int, res: int, ht: int) -> int:
+        # Skip, without a memo entry, each root that does not fit (a cleared
+        # guard bit shows a coordinate gone negative); past the last root,
+        # ht simple roots finish the residual.
         while True:
             if k == n:
-                return 0
+                return 1 << (ht * limb)
             sub = (res | guards) - roots[k]
             if sub & guards == guards:
                 break
@@ -230,29 +239,29 @@ def _tree_count_packed(rs: RootSystem, memo: _TreeMemo, target: IntVec) -> int:
         hit = cache.get(key)
         if hit is not None:
             return hit
-        root = roots[k]
-        total = rec(k + 1, res)  # zero copies of this root
+        root, h = roots[k], heights[k]
+        total = rec(k + 1, res, ht)  # zero copies of this root
         shift = 0
         while sub & guards == guards:
             res = sub ^ guards
+            ht -= h
             shift += limb
-            total += rec(k + 1, res) << shift
+            total += rec(k + 1, res, ht) << shift
             sub = (res | guards) - root
         cache[key] = total
         return total
 
-    return rec(0, sum(map(lshift, target, fields)))
+    return rec(rs.rank, sum(map(lshift, target, fields)), sum(target))
 
 
 def partition_tree_count(rs: RootSystem, xi: Weight) -> QPolynomial:
-    """Graded partition count of ``xi`` by the tree method, a cross-check.
+    """Graded partition count of ``xi`` by the walk, a cross-check.
 
     Past the table budget, TableBudgetError before any work, as for every
-    count.  That also bounds the recursion: each nested call takes a later
-    root that fits the residual, so fits xi, and the depth is at most
-    (roots fitting xi) + 1.  A search over runs of equal coordinates and
+    count.  That also bounds the recursion, at most (non-simple roots
+    fitting xi) + 1 deep: a search over runs of equal coordinates and
     27,000 random boxes on A45, B/C/D24-40, E7, E8 and F4 found at most 272
-    such roots in budget (22 ones on D40; A45 253, E8 106), far under
+    roots fitting xi in budget (22 ones on D40; A45 253, E8 106), far under
     CPython's default recursion limit of 1,000.
 
     >>> from qkostant.rootsys import build_root_system
@@ -269,13 +278,10 @@ def partition_tree_count(rs: RootSystem, xi: Weight) -> QPolynomial:
 
 
 def partition_tree_list(rs: RootSystem, xi: Weight) -> list[PartitionMultiset]:
-    """The explicit partitions behind :func:`partition_tree_count`, in
-    depth-first order (copies of each root tried in increasing number).
-
-    The walk keeps its own stack, one frame per root it has opened, and
-    skips a root that does not fit the residual, as the count does; so no
-    recursion limit applies.  A listing past the table budget, or whose
-    p(xi) entries at 64 bits per positive root would take more than
+    """The explicit partitions behind :func:`partition_tree_count`, from the
+    same walk (module notes), sorted by multiplicity tuple.  A listing past
+    the table budget, or whose p(xi) entries, priced at 8 bytes per positive
+    root and ``_ENTRY_BYTES`` more, would take more than
     :data:`TABLE_BUDGET_BITS`, is refused (TableBudgetError) before work.
     """
     target = _as_int_vec(rs, xi)
@@ -284,39 +290,30 @@ def partition_tree_list(rs: RootSystem, xi: Weight) -> list[PartitionMultiset]:
     roots = rs.root_vectors
     n = len(roots)
     count = kostant_partition(rs, xi)
-    if count * n * 64 > TABLE_BUDGET_BITS:
+    if count * (8 * n + _ENTRY_BYTES) * 8 > TABLE_BUDGET_BITS:
         raise TableBudgetError(
             f"{rs.lie_type}: a listing of {count} partitions into {n} roots "
             f"is over the budget of {TABLE_BUDGET_BITS} bits"
         )
-    zero = (0,) * rs.rank
-    out: list[PartitionMultiset] = []
+    leaves: list[IntVec] = []
     mults = [0] * n
-    stack: list[tuple[int, IntVec]] = []  # (root, residual after its copies)
-    k, res = 0, target
-    while True:
-        # descend, taking zero copies of each fitting root, to a leaf
-        while res != zero:
-            while k < n and not all(map(int.__ge__, res, roots[k])):
-                k += 1
-            if k == n:
-                break
-            stack.append((k, res))
+
+    def walk(k: int, res: IntVec) -> None:
+        while k < n and not all(map(int.__ge__, res, roots[k])):
             k += 1
-        else:
-            out.append(PartitionMultiset(tuple(mults)))
-        # back up to the deepest root that takes one more copy
-        while stack:
-            j, cur = stack.pop()
-            cur = tuple(map(sub, cur, roots[j]))
-            if min(cur) >= 0:
-                mults[j] += 1
-                stack.append((j, cur))
-                k, res = j + 1, cur
-                break
-            mults[j] = 0
-        else:
-            return out
+        if k == n:
+            mults[: rs.rank] = res
+            leaves.append(tuple(mults))
+            return
+        walk(k + 1, res)  # zero copies of this root
+        while min(res := tuple(map(sub, res, roots[k]))) >= 0:
+            mults[k] += 1
+            walk(k + 1, res)
+        mults[k] = 0
+
+    walk(rs.rank, target)
+    leaves.sort()
+    return [PartitionMultiset(m) for m in leaves]
 
 
 class _GenfuncTable:
@@ -334,7 +331,7 @@ class _GenfuncTable:
 
     __slots__ = (
         "limb", "_plan", "_top", "_split", "_dims", "_strides", "_wide",
-        "_counts", "_slabs",
+        "_counts", "_graded",
     )
 
     def __init__(self, rs: RootSystem, box: IntVec) -> None:
@@ -374,12 +371,12 @@ class _GenfuncTable:
         self._plan, self._top = plan, sum(box)
         self._counts = self._run(self._wide, 0)
         self.limb = self.count(box).bit_length()
-        self._slabs: Optional[list[int]] = None
+        self._graded: Optional[tuple[list[int], int]] = None
 
     def _run(self, cell_bits: int, qshift: int) -> list[int]:
         """One pass of the kernel with cells ``cell_bits`` wide; each copy of
-        a root moves a count ``qshift`` bits up: none in the plain pass, one
-        limb in the graded pass, w bits in the pass evaluated at q = 2^w."""
+        a root moves a count ``qshift`` bits up: none in the plain pass, w bits
+        in the pass evaluated at q = 2^w."""
         split, dims, strides = self._split, self._dims, self._strides
         r = len(dims)
         cell_mask = (1 << cell_bits) - 1
@@ -429,13 +426,17 @@ class _GenfuncTable:
         """The number of partitions of v, from the plain pass."""
         return self._cell(self._counts, v, self._wide)
 
+    def _pass_at(self, w: int) -> tuple[list[int], int]:
+        """The pass evaluated at q = 2^w, with its cell width (module notes)."""
+        cell_bits = self._top * w + self.limb
+        return self._run(cell_bits, w), cell_bits
+
     def __call__(self, v: IntVec) -> QPolynomial:
-        """The graded count of v, from the graded pass, run on first use."""
-        cell_bits = (self._top + 1) * self.limb
-        if self._slabs is None:
-            self._slabs = self._run(cell_bits, self.limb)
-        cell = self._cell(self._slabs, v, cell_bits)
-        return QPolynomial.from_packed(cell, self.limb)
+        """The graded count of v, from the pass at q = 2^limb, run on first use."""
+        if self._graded is None:
+            self._graded = self._pass_at(self.limb)
+        slabs, cell_bits = self._graded
+        return QPolynomial.from_packed(self._cell(slabs, v, cell_bits), self.limb)
 
     def signed_sum(
         self, terms: Iterable[tuple[int, IntVec]], bound: int
@@ -445,8 +446,7 @@ class _GenfuncTable:
         at q = 2^w, w = bound.bit_length() + 1 (at least 2), summed and then
         decoded once in balanced digits (module notes)."""
         width = max(2, bound.bit_length() + 1)
-        cell_bits = self._top * width + self.limb
-        slabs = self._run(cell_bits, width)
+        slabs, cell_bits = self._pass_at(width)
         total = sum(sign * self._cell(slabs, v, cell_bits) for sign, v in terms)
         return QPolynomial.from_balanced(total, width)
 

@@ -1,8 +1,9 @@
 """Shared test helpers: independent oracles and randomized samplers.
 
 The oracles here deliberately avoid the library's counting algorithms:
-root sets are regenerated by reflection-orbit closure, graded partition
-counts by plain enumeration over a multiplicity box, Coxeter lengths by
+root sets are regenerated by reflection-orbit closure, partitions and
+graded partition counts by plain enumeration over a multiplicity box,
+weight multiplicities by Freudenthal's recursion, Coxeter lengths by
 counting the positive roots sent negative, products of Weyl elements by
 full matrix multiplication, and alternation sets by testing every element
 of the group in scaled integers.
@@ -11,6 +12,8 @@ of the group in scaled integers.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from fractions import Fraction
 from math import lcm
 from operator import mul
 from random import Random
@@ -97,8 +100,9 @@ def orbit_positive_roots(cartan) -> set[tuple[int, ...]]:
     return {v for v in roots if all(c >= 0 for c in v)}
 
 
-def brute_force_pq(root_vectors, xi: tuple[int, ...]) -> tuple[int, ...]:
-    """Graded partition count by enumerating the whole multiplicity box.
+def brute_force_partitions(root_vectors, xi: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every partition of xi as a multiplicity tuple, in sorted order, by
+    enumerating the whole multiplicity box.
 
     Each root's usage is bounded coordinatewise; every combination in the
     product box is checked by direct summation.  Exponential, so callers
@@ -108,7 +112,7 @@ def brute_force_pq(root_vectors, xi: tuple[int, ...]) -> tuple[int, ...]:
     bounds = []
     for v in root_vectors:
         bounds.append(min(xi[j] // v[j] for j in range(r) if v[j]))
-    counts: dict[int, int] = {}
+    found = []
     for combo in itertools.product(*(range(b + 1) for b in bounds)):
         total = [0] * r
         for m, v in zip(combo, root_vectors):
@@ -116,12 +120,87 @@ def brute_force_pq(root_vectors, xi: tuple[int, ...]) -> tuple[int, ...]:
                 for j in range(r):
                     total[j] += m * v[j]
         if tuple(total) == xi:
-            k = sum(combo)
-            counts[k] = counts.get(k, 0) + 1
-    if not counts:
-        return ()
-    top = max(counts)
-    return tuple(counts.get(i, 0) for i in range(top + 1))
+            found.append(combo)
+    return found
+
+
+def brute_force_pq(root_vectors, xi: tuple[int, ...]) -> tuple[int, ...]:
+    """Graded partition count of xi, from :func:`brute_force_partitions`."""
+    counts = Counter(map(sum, brute_force_partitions(root_vectors, xi)))
+    return tuple(counts[i] for i in range(max(counts, default=-1) + 1))
+
+
+def _symmetrizer(cartan) -> list[int]:
+    """Integers d_i, proportional to the squared lengths of the simple roots,
+    with d_i * cartan[i][j] symmetric; cartan[i][j] = <alpha_j, alpha_i^vee>."""
+    r = len(cartan)
+    d = [Fraction(1)] + [None] * (r - 1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(r):
+            if cartan[i][j] and d[j] is None:
+                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                todo.append(j)
+    scale = lcm(*(x.denominator for x in d))
+    return [int(x * scale) for x in d]
+
+
+def freudenthal_multiplicity(
+    cartan, lam: tuple[int, ...], beta: tuple[int, ...]
+) -> int:
+    """Multiplicity of the weight lam - beta in the irreducible module of
+    highest weight lam (Dynkin labels), beta in simple-root coordinates.
+
+    Freudenthal's recursion in exact integers, with the symmetrised form
+    (alpha_i, alpha_j) = d_i cartan[i][j]: for mu = lam - beta dominant,
+    (2 (lam + rho, beta) - (beta, beta)) m(mu)
+        = 2 sum_{alpha > 0} sum_{k >= 1} (mu + k alpha, alpha) m(mu + k alpha),
+    where (lam + rho, alpha_i) = d_i (lam_i + 1).  A non-dominant weight
+    takes the multiplicity of its dominant conjugate, reached by simple
+    reflections; a weight with some conjugate not below lam has none.  The
+    positive roots come from :func:`orbit_positive_roots`.
+    """
+    r = len(cartan)
+    d = _symmetrizer(cartan)
+    form = [[d[i] * cartan[i][j] for j in range(r)] for i in range(r)]
+
+    def pair(u, v) -> int:
+        return sum(u[i] * form[i][j] * v[j] for i in range(r) for j in range(r))
+
+    roots = [
+        (a, pair(a, a), sum(a[i] * d[i] * lam[i] for i in range(r)))
+        for a in sorted(orbit_positive_roots(cartan))
+    ]
+    memo: dict[tuple[int, ...], int] = {}
+
+    def m(beta: tuple[int, ...]) -> int:
+        while min(beta) >= 0:
+            labels = [lam[i] - sum(map(mul, cartan[i], beta)) for i in range(r)]
+            low = min(range(r), key=labels.__getitem__)
+            if labels[low] >= 0:
+                break
+            beta = beta[:low] + (beta[low] + labels[low],) + beta[low + 1:]
+        else:
+            return 0
+        if not any(beta):
+            return 1
+        if beta not in memo:
+            total = 0
+            for a, aa, lam_a in roots:
+                higher, k = beta, 1
+                while min(higher := tuple(x - y for x, y in zip(higher, a))) >= 0:
+                    total += (lam_a - pair(beta, a) + k * aa) * m(higher)
+                    k += 1
+            den = 2 * sum(beta[i] * d[i] * (lam[i] + 1) for i in range(r))
+            den -= pair(beta, beta)
+            quotient, rem = divmod(2 * total, den)
+            if rem or quotient < 0:
+                raise ArithmeticError(f"Freudenthal: {2 * total}/{den} at {beta}")
+            memo[beta] = quotient
+        return memo[beta]
+
+    return m(tuple(beta))
 
 
 def exhaustive_alternation(elements, lam: Weight, mu: Weight, rho: Weight) -> dict:

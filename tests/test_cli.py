@@ -299,7 +299,7 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1
 
     def test_list_partitions_a45(self, capsys):
-        # 1,035 positive roots: the lister keeps its own stack
+        # 1,035 positive roots, of which the walk opens only those fitting xi
         xi = "1,1" + ",0" * 43
         code, out, err = run(capsys, "list-partitions", "A45", "--xi", xi)
         assert (code, err) == (0, "")

@@ -1,6 +1,7 @@
 """Multiplicity polynomials, the full-group cross-check, exponent reports."""
 
 from math import prod
+from operator import mul
 from random import Random
 
 import pytest
@@ -22,7 +23,7 @@ from qkostant import (
     weyl_group_order,
 )
 from qkostant.partition import _GenfuncTable
-from support import random_dominant_pair
+from support import freudenthal_multiplicity, random_dominant_pair
 
 
 class TestComputeMq:
@@ -102,6 +103,26 @@ class TestComputeMq:
         for name in ["A1", "A4", "B3", "C3", "D4", "G2", "F4", "E6"]:
             rs = build_root_system(name)
             assert compute_m(rs) == rs.rank
+
+    def test_matches_freudenthal(self):
+        # m and m_q(1) on random dominant pairs, A to G up to rank 5,
+        # against Freudenthal's recursion, which counts no partitions
+        rng = Random(41)
+        names = "A1 A2 A3 A4 A5 B2 B3 B4 B5 C3 C4 C5 D4 D5 G2 F4".split()
+        nonzero = 0
+        for name in names:
+            rs = build_root_system(name)
+            for _ in range(8):
+                lam, mu = random_dominant_pair(rs, rng, max_total=3)
+                res = compute_mq(rs, lam, mu)
+                beta = (lam - mu).nonnegative_ints()
+                labels = tuple(int(sum(map(mul, row, lam.coeffs))) for row in rs.cartan)
+                m = 0
+                if beta is not None:
+                    m = freudenthal_multiplicity(rs.cartan, labels, beta)
+                assert res.m == res.mq.at_one() == m, (name, lam, mu)
+                nonzero += m > 0
+        assert nonzero > 60
 
 
 def signed_pq_sum(res):

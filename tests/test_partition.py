@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from random import Random
 
@@ -19,12 +20,13 @@ from qkostant import (
     partition_tree_list,
 )
 from qkostant.partition import (
+    _ENTRY_BYTES,
     _TREE_CACHES,
     _GenfuncTable,
     _multisets_by_height,
     check_table_budget,
 )
-from support import brute_force_pq
+from support import brute_force_partitions, brute_force_pq
 
 G2 = build_root_system("G2")
 
@@ -117,6 +119,18 @@ class TestTreeCount:
             k, res = key & ((1 << index_bits) - 1), key >> index_bits
             coords = [(res >> (j * width)) & field for j in range(rs.rank)]
             assert all(map(int.__ge__, coords, rs.root_vectors[k]))
+
+    def test_e7_theta_memo_keys_no_simple_root(self, monkeypatch):
+        # the walk starts past the simple roots, which finish every residual
+        rs = build_root_system("E7")
+        monkeypatch.delitem(_TREE_CACHES, rs.lie_type, raising=False)
+        assert partition_tree_count(rs, rs.highest_root) == partition_genfunc(
+            rs, rs.highest_root
+        )
+        table = _TREE_CACHES[rs.lie_type].table
+        index_mask = (1 << len(rs.root_vectors).bit_length()) - 1
+        assert 0 < len(table) < 10_000
+        assert min(key & index_mask for key in table) >= rs.rank
 
     def test_a45_count_is_budgeted(self):
         # all-ones plans 2^45 cells: refused before the memo is even made
@@ -256,9 +270,42 @@ class TestTreeList:
                     grades.get(i, 0) for i in range(max(grades, default=-1) + 1)
                 )
 
+    def test_matches_brute_force_in_sorted_order(self):
+        rng = Random(31)
+        for name in ["A2", "A3", "B3", "C3", "G2"]:
+            rs = build_root_system(name)
+            for _ in range(8):
+                xi = tuple(rng.randint(0, 8 // rs.rank) for _ in range(rs.rank))
+                parts = partition_tree_list(rs, Weight(xi))
+                assert [p.mults for p in parts] == brute_force_partitions(
+                    rs.root_vectors, xi
+                )
+
+    @pytest.mark.parametrize(
+        "name, xi",
+        [("G2", (30, 20)), ("E6", None), ("E8", (1, 1, 1, 2, 1, 1, 1, 1))],
+    )
+    def test_listing_price_covers_its_bytes(self, name, xi):
+        # the budget prices an entry at 8 bytes per positive root and
+        # _ENTRY_BYTES more; the peak of a listing, once the type's caches
+        # are warm, stays under that price per entry
+        rs = build_root_system(name)
+        w = rs.highest_root if xi is None else Weight(xi)
+        partition_tree_list(rs, w)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            count = len(partition_tree_list(rs, w))
+            held = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert count > 200
+        assert held < count * (8 * len(rs.root_vectors) + _ENTRY_BYTES)
+
     def test_a45_listing_is_budgeted(self):
-        # the walk keeps its own stack, so 1,035 roots are no recursion
-        # problem; all-ones has 2^44 partitions and is refused before work
+        # 1,035 positive roots, of which the walk opens only those fitting
+        # xi; all-ones has 2^44 partitions and is refused before work
         rs = build_root_system("A45")
         parts = partition_tree_list(rs, Weight([1, 1] + [0] * 43))
         assert [p.text(rs) for p in parts] == ["1(α1 + α2)", "1(α1) + 1(α2)"]
