@@ -27,8 +27,9 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .multiplicity import (
     MultiplicityResult,
@@ -70,12 +71,22 @@ def _weight_json(w: Weight) -> list:
     return [_json_num(c) for c in w.coeffs]
 
 
-def _emit(text: str, args: argparse.Namespace) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _emit(chunks: Union[str, Iterable[str]], args: argparse.Namespace) -> None:
+    """Write a text, or its chunks as they come, and a newline: to --out or stdout."""
+    out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        fh.writelines([chunks] if isinstance(chunks, str) else chunks)
+        fh.write("\n")
+
+
+def _json_chunks(payload: dict, key: str, items: Iterable[dict]) -> Iterator[str]:
+    """json.dumps(payload | {key: list(items)}, indent=2), an item at a time."""
+    sep = "\n    "
+    yield json.dumps(payload, indent=2)[:-2] + f",\n  {json.dumps(key)}: ["
+    for item in items:
+        yield sep + json.dumps(item, indent=2).replace("\n", "\n    ")
+        sep = ",\n    "
+    yield "]\n}" if sep == "\n    " else "\n  ]\n}"
 
 
 def _csv(columns: Sequence[str], rows: Iterable[dict]) -> str:
@@ -168,16 +179,14 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             "pq_text": pq.text(),
             "p": count,
         }
-        if partitions is not None:
-            payload["partitions"] = [
-                {
-                    "mults": list(p.mults),
-                    "roots_used": p.roots_used(),
-                    "text": p.text(rs),
-                }
+        if partitions is None:
+            _emit(json.dumps(payload, indent=2), args)
+        else:
+            entries = (
+                dict(mults=list(p.mults), roots_used=p.roots_used(), text=p.text(rs))
                 for p in partitions
-            ]
-        _emit(json.dumps(payload, indent=2), args)
+            )
+            _emit(_json_chunks(payload, "partitions", entries), args)
     elif args.format == "csv" and partitions is None:
         rows = ({"power": p, "coefficient": c} for p, c in pq.terms())
         _emit(_csv(("power", "coefficient"), rows), args)

@@ -10,13 +10,13 @@ For dominant lam, sigma(lam+rho) <= lam+rho, so every xi_sigma lies in the
 box xi_id = lam - mu, known before the search; one genfunc table over it
 serves every element (see ``partition``).  Its plain pass gives each
 p(xi_sigma) and so m.  m_q itself is summed once, at q = 2^w, from one
-pass evaluated there, and decoded in balanced digits; w must hold every
-coefficient of m_q, each at most B in absolute value.  For dominant mu
-the coefficients are nonnegative (Kato, Invent. Math. 66 (1982);
-Lusztig, Asterisque 101-102 (1983)) and sum to m, so B = m; for any other
-mu the triangle inequality gives B = sum of p(xi_sigma).  Every record's
-graded value is left to a graded pass over the same table, run only when
-one is read.
+pass evaluated there, and decoded once; w must hold every coefficient.
+For dominant mu they are nonnegative (Kato, Invent. Math. 66 (1982);
+Lusztig, Asterisque 101-102 (1983)) and sum to m: plain digits with
+w = m.bit_length().  For any other mu they lie in [-B, B], B the sum of
+p(xi_sigma) by the triangle inequality: balanced digits, one bit wider.
+Every record's graded value is left to a graded pass over the same table,
+run only when one is read.
 
 For the adjoint representation and the zero weight the polynomial equals
 sum_i q^(e_i) over the exponents e_1, ..., e_r of the algebra;
@@ -141,25 +141,20 @@ def compute_mq(
     dominant = bool(records) and rs.is_dominant(mu)
     if method == "tree":
         records = [
-            AlternationRecord(
-                rec.element, rec.xi, rec.sign, partition_tree_count(rs, rec.xi)
-            )
-            for rec in records
+            AlternationRecord(r.element, r.xi, r.sign, partition_tree_count(rs, r.xi))
+            for r in records
         ]
-        mq = sum(
-            (rec.pq if rec.sign > 0 else -rec.pq for rec in records),
-            QPolynomial.zero(),
-        )
+        mq = sum((r.pq if r.sign > 0 else -r.pq for r in records), QPolynomial.zero())
         m = mq.at_one()
+        if dominant and any(c < 0 for c in mq.coeffs):
+            raise RuntimeError(
+                f"negative coefficient in m_q({lam!r}, {mu!r}) over {rs.lie_type}: "
+                f"{list(mq.coeffs)} -- this indicates a bug"
+            )
     elif records:
         mq, m, records = _evaluated_mq(rs, box, records, dominant)
     else:
         mq, m = QPolynomial.zero(), 0
-    if dominant and any(c < 0 for c in mq.coeffs):
-        raise RuntimeError(
-            f"negative coefficient in m_q({lam!r}, {mu!r}) over {rs.lie_type}: "
-            f"{list(mq.coeffs)} -- this indicates a bug"
-        )
     return MultiplicityResult(
         lie_type=rs.lie_type,
         lam=lam,
@@ -189,11 +184,11 @@ def _evaluated_mq(
         )
     counts = [table.count(v) for v in xis]
     m = sum(c if rec.sign > 0 else -c for c, rec in zip(counts, records))
-    # Every coefficient of m_q is at most B in absolute value: B = m when
-    # the coefficients are nonnegative (dominant mu), the sum of the
-    # |terms| at q = 1 otherwise.
+    # m_q's coefficients lie in [0, m] for dominant mu, else in [-B, B], B = sum(counts)
     mq = table.signed_sum(
-        zip((rec.sign for rec in records), xis), m if dominant else sum(counts)
+        zip((rec.sign for rec in records), xis),
+        m if dominant else sum(counts),
+        signed=not dominant,
     )
     if mq.at_one() != m:
         raise RuntimeError(

@@ -45,15 +45,20 @@ reach, since a partition of v uses at most ht(v) roots.
 * The plain pass, on construction: q = 1, no shift, cells of
   M(H).bit_length() bits.  It gives p(v) for every cell and the limb L.
 * The pass at q = 2^w (``_pass_at``): a shift of w bits.  The kernel is
-  linear, so cell v ends at P_v(2^w), P_v the graded count of v; every
-  partial value of the cell is at most P_v(2^w) <= p(v) 2^(w ht(v))
-  < 2^(L + w H), so cells of H * w + L bits never carry into a neighbour.
-  At w = L every coefficient is one limb: the graded pass (720-bit cells on
+  linear, so cell v ends at P_v(2^w), P_v the graded count of v, and every
+  partial value of it sums over some partitions of v, so it is at most
+  P_v(2^w) <= p(v) 2^(w ht(v)) < 2^(L + w H).  A partition of v is fixed by
+  its multiset nu of non-simple roots and uses ht(v) - exc(nu) roots,
+  exc(beta) = ht(beta) - 1, so also P_v(2^w) < 2^(w ht(v)) C_w: the product
+  C_w of 1/(1 - 2^(-w exc(beta))) over the non-simple roots fitting the box
+  sums 2^(-w exc(nu)) over every such nu.  So cells of H w + min(c_w, L)
+  bits, c_w the least c with C_w < 2^c, never carry into a neighbour.  At
+  w = L every coefficient is one limb: the graded pass (697-bit cells on
   the E8 theta box), run on the first read of a graded count.  A signed sum
-  of graded counts with coefficients in [-B, B] takes w = B.bit_length() + 1
-  (at least 2; 169 bits): the signed sum of the cells is its value at 2^w,
-  and its balanced base-2^w digits are its coefficients (Kronecker
-  substitution; :meth:`QPolynomial.from_balanced`).
+  with coefficients in [0, B] takes w = B.bit_length() and plain digits
+  (117 bits on E8 theta), in [-B, B] one bit more (at least 2) and balanced
+  digits: the sum of the cells is its value at 2^w, and its base-2^w digits
+  are its coefficients (Kronecker substitution).
 
 Table budget.  Before any work a count or listing is refused
 (TableBudgetError) when the graded pass over its box would take more than
@@ -330,8 +335,8 @@ class _GenfuncTable:
     """
 
     __slots__ = (
-        "limb", "_plan", "_top", "_split", "_dims", "_strides", "_wide",
-        "_counts", "_graded",
+        "limb", "_plan", "_top", "_excess", "_split", "_dims", "_strides",
+        "_wide", "_counts", "_graded",
     )
 
     def __init__(self, rs: RootSystem, box: IntVec) -> None:
@@ -354,9 +359,12 @@ class _GenfuncTable:
         # part, the outer positions of its sub-box, shared by equal outer parts.
         plan: list[tuple[IntVec, int, int, Optional[list[int]]]] = []
         sub_boxes: dict[IntVec, list[int]] = {}
+        excess: dict[int, int] = {}  # ht - 1 -> fitting roots of that excess
         for root in rs.root_vectors:
             if not all(map(int.__le__, root, box)):
                 continue
+            if e := sum(root) - 1:
+                excess[e] = excess.get(e, 0) + 1
             outer, inner = root[:split], root[split:]
             off = sum(map(mul, outer, strides))
             positions = sub_boxes.get(outer)
@@ -368,7 +376,7 @@ class _GenfuncTable:
                 sub_boxes[outer] = positions
             step = sum(map(mul, inner, strides[split:]))
             plan.append((inner, step, off, positions))
-        self._plan, self._top = plan, sum(box)
+        self._plan, self._top, self._excess = plan, sum(box), excess
         self._counts = self._run(self._wide, 0)
         self.limb = self.count(box).bit_length()
         self._graded: Optional[tuple[list[int], int]] = None
@@ -428,7 +436,11 @@ class _GenfuncTable:
 
     def _pass_at(self, w: int) -> tuple[list[int], int]:
         """The pass evaluated at q = 2^w, with its cell width (module notes)."""
-        cell_bits = self._top * w + self.limb
+        num = den = 1
+        for e, n in self._excess.items():
+            num <<= w * e * n
+            den *= ((1 << w * e) - 1) ** n
+        cell_bits = self._top * w + min((num // den).bit_length(), self.limb)
         return self._run(cell_bits, w), cell_bits
 
     def __call__(self, v: IntVec) -> QPolynomial:
@@ -439,16 +451,18 @@ class _GenfuncTable:
         return QPolynomial.from_packed(self._cell(slabs, v, cell_bits), self.limb)
 
     def signed_sum(
-        self, terms: Iterable[tuple[int, IntVec]], bound: int
+        self, terms: Iterable[tuple[int, IntVec]], bound: int, signed: bool = True
     ) -> QPolynomial:
         """Sum of sign * (graded count of v) over the (sign, v) of ``terms``,
-        whose coefficients must lie in [-bound, bound]: one pass evaluated
-        at q = 2^w, w = bound.bit_length() + 1 (at least 2), summed and then
-        decoded once in balanced digits (module notes)."""
-        width = max(2, bound.bit_length() + 1)
+        coefficients in [-bound, bound] ([0, bound] unless ``signed``): one
+        pass at q = 2^w, decoded in balanced or plain digits (module notes)."""
+        width = max(1 + signed, bound.bit_length() + signed)
         slabs, cell_bits = self._pass_at(width)
         total = sum(sign * self._cell(slabs, v, cell_bits) for sign, v in terms)
-        return QPolynomial.from_balanced(total, width)
+        if not signed and total < 0:
+            raise RuntimeError(f"{total} < 0 at q = 2^{width} -- this indicates a bug")
+        decode = QPolynomial.from_balanced if signed else QPolynomial.from_packed
+        return decode(total, width)
 
 
 def partition_genfunc(rs: RootSystem, xi: Weight) -> QPolynomial:

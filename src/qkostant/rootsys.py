@@ -106,6 +106,12 @@ class Weight:
     def zero(cls, rank: int) -> "Weight":
         return cls((0,) * rank)
 
+    @classmethod
+    def _of_ints(cls, coeffs: IntVec) -> "Weight":
+        """The weight of the int tuple ``coeffs``, taken as it is."""
+        object.__setattr__(w := object.__new__(cls), "coeffs", coeffs)
+        return w
+
     def __len__(self) -> int:
         return len(self.coeffs)
 

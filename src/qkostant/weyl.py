@@ -13,10 +13,12 @@ reverse.  The canonical words form a tree rooted at the empty word
 the children of M are the M s_i for which i is an ascent of M and no j < i
 is a descent of M s_i.  :func:`_walk` searches that tree one length layer at
 a time, so every element is met exactly once, in (length, canonical word)
-order, carrying its word, with no visited set.  Enumerating the group,
-counting it and finding an alternation set are all this one walk; the last
-carries xi from parent to child in O(rank) and prunes each rejected child,
-before building its matrix, together with its subtree.
+order, carrying its word, with no visited set, as the tuple of its columns
+with their heights carried down: a child rebuilds only the columns in the
+nonzeros of Cartan row i.  Enumerating the group, counting it and finding
+an alternation set are all this one walk; the last carries xi from parent
+to child in O(rank), off column i, and prunes each rejected child, before
+building it, together with its subtree.
 """
 
 from __future__ import annotations
@@ -39,9 +41,7 @@ class OrderExceededError(RuntimeError):
 @lru_cache(maxsize=None)
 def _cartan_nonzeros(cartan: Matrix) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per row i, the pairs (j, a_ij) with a_ij != 0 (diagonal included)."""
-    return tuple(
-        tuple((j, a) for j, a in enumerate(row) if a) for row in cartan
-    )
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in cartan)
 
 
 def _identity(rank: int) -> Matrix:
@@ -50,49 +50,47 @@ def _identity(rank: int) -> Matrix:
 
 def _rmul_simple(cartan: Matrix, m: Matrix, i: int) -> Matrix:
     """Matrix of m * s_{i+1}: column j becomes col_j - a_ij * col_i."""
-    nz = _cartan_nonzeros(cartan)[i]
-    rows = [list(row) for row in m]
-    for k, row in enumerate(m):
-        ci = row[i]
-        if ci:
-            rk = rows[k]
-            for j, a in nz:
-                rk[j] -= a * ci
-    return tuple(tuple(row) for row in rows)
+    a = cartan[i]
+    return tuple(tuple(x - a[j] * row[i] for j, x in enumerate(row)) for row in m)
 
 
 def _walk(
     rs: RootSystem,
-    keep: Optional[Callable[[Matrix, Any, int], Any]] = None,
-    payload: Any = None,
+    keep: Callable[[Matrix, Any, int], Any] = lambda cols, data, i: data,
+    payload: Any = True,
 ) -> Iterator[tuple[Matrix, tuple[int, ...], Any]]:
-    """Yield (matrix, canonical word, payload) down the canonical-word tree,
+    """Yield (columns, canonical word, payload) down the canonical-word tree,
     one length layer at a time, from the identity carrying ``payload``.
-
-    ``keep(m, data, i)`` gets the matrix and payload of a node and the index
-    of a child m s_{i+1}; it returns the child's payload, or None to drop
-    the child together with its subtree.  A child's matrix is built only
-    once it is kept.  Without ``keep`` every payload is None.
-    """
-    cartan, r = rs.cartan, rs.rank
-    layer = [(_identity(r), (), payload)]
+    ``keep(cols, data, i)`` returns the payload of the child m s_{i+1} of a
+    node, or None to drop it with its subtree; a child's columns are built
+    only once it is kept.  Without ``keep`` every payload is True."""
+    cartan, nz, r = rs.cartan, _cartan_nonzeros(rs.cartan), rs.rank
+    # h[j], the height of the root m(alpha_j), has the sign of column j; m s_i
+    # takes it to h[j] - a_ij h[i], still positive at an ascent j when i is an
+    # ascent (a_ij <= 0): past m's first descent d only neighbours of d qualify.
+    layer = [(_identity(r), [1] * r, (), payload)]
     while layer:
-        yield from layer
         nxt = []
-        for m, word, data in layer:
-            # h[j] is the height of the root m(alpha_j), whose sign is that of
-            # column j; m s_i sends alpha_j to a root of height h[j] - a_ij h[i].
-            h = [sum(col) for col in zip(*m)]
+        for cols, h, word, data in layer:
+            yield cols, word, data
+            d = next((j for j, x in enumerate(h) if x < 0), r)
             for i, a in enumerate(cartan):
                 hi = h[i]
-                if hi < 0 or any(h[j] < a[j] * hi for j in range(i)):
+                if hi < 0 or (i > d and not a[d]):
                     continue
-                child = None
-                if keep is not None:
-                    child = keep(m, data, i)
-                    if child is None:
-                        continue
-                nxt.append((_rmul_simple(cartan, m, i), word + (i + 1,), child))
+                g = h[:]
+                for j, aij in nz[i]:
+                    g[j] -= aij * hi
+                if i > d and min(g[:i]) < 0:
+                    continue
+                child = keep(cols, data, i)
+                if child is None:
+                    continue
+                # column j becomes col_j - a_ij col_i; the others are shared
+                ci, c = cols[i], list(cols)
+                for j, aij in nz[i]:
+                    c[j] = tuple([x - aij * y for x, y in zip(cols[j], ci)])
+                nxt.append((tuple(c), g, word + (i + 1,), child))
         layer = nxt
 
 
@@ -177,7 +175,7 @@ def enumerate_group(
     carrying its canonical word.  Refuses to start when the known group
     order exceeds ``max_order``."""
     _check_order(rs, max_order)
-    return [WeylElement(rs.cartan, m, word) for m, word, _ in _walk(rs)]
+    return [WeylElement(rs.cartan, tuple(zip(*c)), w) for c, w, _ in _walk(rs)]
 
 
 def group_order_bfs(rs: RootSystem, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
@@ -248,14 +246,16 @@ def alternation_set(
         return []
     steps = [int(p) + 1 for p in pairings]  # <lam+rho, alpha_i^vee>
 
-    def keep(m: Matrix, parent: IntVec, i: int) -> Optional[IntVec]:
+    def keep(cols: Matrix, parent: IntVec, i: int) -> Optional[IntVec]:
         step = steps[i]
-        child = tuple(x - step * row[i] for x, row in zip(parent, m))
+        child = tuple([x - step * c for x, c in zip(parent, cols[i])])
         return child if min(child) >= 0 else None
 
     return [
         AlternationRecord(
-            WeylElement(rs.cartan, m, word), Weight(v), -1 if len(word) % 2 else 1
+            WeylElement(rs.cartan, tuple(zip(*cols)), word),
+            Weight._of_ints(v),
+            -1 if len(word) % 2 else 1,
         )
-        for m, word, v in _walk(rs, keep, root)
+        for cols, word, v in _walk(rs, keep, root)
     ]

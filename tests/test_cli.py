@@ -4,12 +4,19 @@ import json
 import re
 import shlex
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import golden_tables as gt
-from qkostant import QPolynomial
+from qkostant import (
+    QPolynomial,
+    Weight,
+    build_root_system,
+    partition_genfunc,
+    partition_tree_list,
+)
 from qkostant.cli import main
 
 
@@ -92,6 +99,55 @@ class TestPartitionCommand:
         assert "2(α1) + 2(α2)" in lines
         assert "1(α2) + 1(2α1 + α2)" in lines
         assert len(lines) == 2 + 4
+
+
+class TestJsonListing:
+    """The json listing is written entry by entry, in the bytes that
+    ``json.dumps(payload, indent=2)`` gives for the whole payload."""
+
+    @pytest.mark.parametrize(
+        "name,xi", [("E6", "1,2,2,3,2,1"), ("G2", "0,0"), ("G2", "-1,0")]
+    )
+    def test_bytes_of_the_whole_payload(self, capsys, name, xi):
+        rs = build_root_system(name)
+        weight = Weight([int(c) for c in xi.split(",")])
+        pq = partition_genfunc(rs, weight)
+        payload = {
+            "type": name,
+            "xi": [int(c) for c in weight.coeffs],
+            "pq": list(pq.coeffs),
+            "pq_text": pq.text(),
+            "p": pq.at_one(),
+            "partitions": [
+                {
+                    "mults": list(p.mults),
+                    "roots_used": p.roots_used(),
+                    "text": p.text(rs),
+                }
+                for p in partition_tree_list(rs, weight)
+            ],
+        }
+        code, out, _ = run(
+            capsys, "list-partitions", name, "--xi", xi, "--format", "json"
+        )
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_peak_memory_follows_the_text_listing(self, tmp_path):
+        # E6 theta, 622 partitions: rendered whole, the json listing peaked at
+        # four times the text listing
+        def peak(fmt):
+            argv = ["list-partitions", "E6", "--xi", "1,2,2,3,2,1", "--format", fmt]
+            argv += ["--out", str(tmp_path / fmt)]
+            main(argv)  # warm the library's caches
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak("json") <= 2 * peak("text")
 
 
 class TestAltsetCommand:

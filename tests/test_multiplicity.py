@@ -170,7 +170,8 @@ class TestEvaluatedPass:
     @pytest.mark.parametrize(
         "name,lam,mu,coeffs",
         [
-            # dominant mu: m = 3, so w = 3 holds the coefficient 2
+            # dominant mu: m = 3, so plain digits of w = 2 bits hold the
+            # coefficient 2
             ("C3", (0, 2, 0), (0, 1, 0), (0, 0, 2, 0, 1)),
             # non-dominant mu: m = 0, the coefficient 2 needs the sum of p
             ("A2", (0, 0), (-2, -2), (-1, 2, -1, -1, 1)),
@@ -185,15 +186,16 @@ class TestEvaluatedPass:
         assert res.m == res.mq.at_one()
 
     def test_e8_evaluated_cells_fit(self):
-        # every cell of the pass at q = 2^L, run with 16 spare bits per cell,
-        # is below 2^(H L + limb), and the narrow pass holds the same cells:
-        # no cell carries into its neighbour
+        # every cell of the pass at q = 2^w, w = m.bit_length() for plain
+        # digits, run with 16 spare bits per cell, is below 2^(H w + c_w), and
+        # the narrow pass holds the same cells: no cell carries into its
+        # neighbour
         rs = build_root_system("E8")
         box = tuple(int(c) for c in rs.highest_root)
         table = _GenfuncTable(rs, box)
-        width = compute_mq(rs).m.bit_length() + 1
-        narrow = sum(box) * width + table.limb
-        assert (width, narrow) == (5, 169)
+        width = compute_mq(rs).m.bit_length()
+        narrow = table._pass_at(width)[1]
+        assert (width, narrow) == (4, 117)
         spare = narrow + 16
         fits, loose = table._run(narrow, width), table._run(spare, width)
         per_slab = prod(table._dims[table._split:])
@@ -203,6 +205,20 @@ class TestEvaluatedPass:
                 cell = (roomy >> (c * spare)) & ((1 << spare) - 1)
                 assert cell < 1 << narrow
                 assert cell == (tight >> (c * narrow)) & ((1 << narrow) - 1)
+
+    def test_negative_plain_total_is_a_bug(self):
+        # a sum whose coefficients are known to be nonnegative cannot read
+        # below 0 at q = 2^w; if it does, that is a bug (RuntimeError), not
+        # bad input (a ValueError, which the CLI reports as exit 2)
+        rs = build_root_system("G2")
+        box = tuple(int(c) for c in rs.highest_root)
+        table = _GenfuncTable(rs, box)
+        plain = table.signed_sum([(1, box)], 4, signed=False)
+        assert plain.coeffs == (0, 1, 2, 2, 1, 1)
+        with pytest.raises(RuntimeError, match="indicates a bug"):
+            table.signed_sum([(-1, box)], 4, signed=False)
+        # balanced digits read the same sum as it is
+        assert table.signed_sum([(-1, box)], 4).coeffs == (0, -1, -2, -2, -1, -1)
 
     def test_e8_lazy_records_match_partition_genfunc(self):
         rs = build_root_system("E8")

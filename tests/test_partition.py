@@ -231,6 +231,56 @@ class TestGenfunc:
         assert batch == [partition_genfunc(rs, xi) for xi in xis]
 
 
+def random_boxes(name, count, seed, most=300):
+    """``count`` seeded boxes over ``name``, each of at most ``most`` cells."""
+    rng, rank, boxes = Random(seed), build_root_system(name).rank, []
+    while len(boxes) < count:
+        box = tuple(rng.randint(0, 3) for _ in range(rank))
+        if math.prod(b + 1 for b in box) <= most:
+            boxes.append((name, box))
+    return boxes
+
+
+# Boxes whose passes at q = 2^w are checked cell by cell: the highest roots
+# of four types and seeded boxes over A4 and D5.
+CELL_WIDTH_CASES = [
+    (name, tuple(int(c) for c in build_root_system(name).highest_root))
+    for name in ("G2", "B3", "F4", "E6")
+] + random_boxes("A4", 3, 1701) + random_boxes("D5", 3, 1702)
+
+
+class TestCellWidth:
+    """The pass at q = 2^w takes cells of H w + min(c_w, L) bits, c_w from
+    the non-simple roots fitting the box (module notes)."""
+
+    def test_every_cell_is_its_graded_count_at_2_to_the_w(self):
+        arms = set()
+        for name, box in CELL_WIDTH_CASES:
+            rs = build_root_system(name)
+            table = _GenfuncTable(rs, box)
+            cells = list(itertools.product(*(range(b + 1) for b in box)))
+            graded = {v: partition_tree_count(rs, Weight(v)) for v in cells}
+            for w in sorted({1, 2, 4, table.limb}):
+                slabs, bits = table._pass_at(w)
+                headroom = bits - sum(box) * w
+                assert 1 <= headroom <= table.limb
+                arms.add(headroom < table.limb)
+                for v in cells:
+                    value = sum(c << (w * k) for k, c in enumerate(graded[v].coeffs))
+                    assert value < 1 << bits, (name, box, w, v)
+                    assert table._cell(slabs, v, bits) == value, (name, box, w, v)
+        # both arms of the min: c_w < L, and L <= c_w
+        assert arms == {True, False}
+
+    def test_e8_theta_widths(self, monkeypatch):
+        rs = build_root_system("E8")
+        box = tuple(int(c) for c in rs.highest_root)
+        table = _GenfuncTable(rs, box)
+        monkeypatch.setattr(_GenfuncTable, "_run", lambda self, bits, w: [])
+        widths = {w: table._pass_at(w)[1] for w in (4, 5, table.limb)}
+        assert widths == {4: 117, 5: 146, 24: 697}
+
+
 class TestTreeList:
     def test_g2_worked_example(self):
         parts = partition_tree_list(G2, Weight([2, 2]))

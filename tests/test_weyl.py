@@ -272,6 +272,41 @@ class TestAlternationSet:
         with pytest.raises(ValueError, match="not dominant integral"):
             alternation_set(rs, Weight(lam), Weight(lam))
 
+    def test_type_a_adjoint_sizes_are_fibonacci(self):
+        # |A(theta, 0)| in A_r is the Fibonacci number F_r (Harris, Insko and
+        # Williams, J. Comb. 7 (2016))
+        sizes = [
+            len(alternation_set(build_root_system(f"A{r}"))) for r in range(1, 17)
+        ]
+        fib = [1, 1]
+        while len(fib) < 16:
+            fib.append(fib[-2] + fib[-1])
+        assert sizes == fib
+        assert sizes[-1] == 987
+
+    def test_e8_records_rebuild_from_their_words(self):
+        # each element is the product of simple reflections along its word,
+        # from the identity, and each xi is sigma(lam + rho) - (rho + mu), in
+        # exact arithmetic; records come by length, and every prefix of a
+        # word is a record (the admitted set is a subtree), so each product
+        # extends its prefix's by one factor
+        from qkostant.weyl import _identity, _rmul_simple
+
+        rs = build_root_system("E8")
+        records = alternation_set(rs)
+        assert len(records) == 2318
+        target, shift = rs.highest_root + rs.rho, rs.rho
+        products = {(): _identity(rs.rank)}
+        for rec in records:
+            word = rec.element.word
+            if word:
+                products[word] = _rmul_simple(
+                    rs.cartan, products[word[:-1]], word[-1] - 1
+                )
+            assert rec.element.matrix == products[word], rec.element
+            assert rec.xi == apply(rec.element, target) - shift, rec.element
+            assert rec.sign == (-1) ** rec.element.length
+
 
 def test_word_str():
     assert word_str(()) == "1"
