@@ -23,12 +23,11 @@ A ``ValueError`` (bad input, or one the library raises) or an ``OSError``
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .multiplicity import (
@@ -89,18 +88,27 @@ def _json_chunks(payload: dict, key: str, items: Iterable[dict]) -> Iterator[str
     yield "]\n}" if sep == "\n    " else "\n  ]\n}"
 
 
-def _csv(columns: Sequence[str], rows: Iterable[dict]) -> str:
-    """A header of ``columns``, then those fields of each row; a list field
-    is written as its items joined by ";"."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(columns)
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """The lines joined by newlines, a line at a time."""
+    sep = ""
+    for line in lines:
+        yield sep + line
+        sep = "\n"
+
+
+def _csv(columns: Sequence[str], rows: Iterable[dict]) -> Iterator[str]:
+    """A header of ``columns``, then those fields of each row, a row at a
+    time; a list field is written as its items joined by ";".  These are
+    the bytes of ``csv.writer``, every line ended by CR LF (the last LF is
+    _emit's), without its 128 KB record buffer: every field is a number, a
+    word or such a list, and none holds a comma, a quote or a line break."""
+    yield ",".join(columns)
     for row in rows:
         fields = (row[c] for c in columns)
-        writer.writerow(
-            ";".join(map(str, f)) if isinstance(f, list) else f for f in fields
+        yield "\r\n" + ",".join(
+            ";".join(map(str, f)) if isinstance(f, list) else str(f) for f in fields
         )
-    return buf.getvalue().rstrip("\n")
+    yield "\r"
 
 
 def _record_dicts(result: MultiplicityResult) -> list[dict]:
@@ -197,15 +205,11 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         )
         _emit(_csv(("index", "roots_used", "mults"), rows), args)
     elif args.format == "latex":
-        lines = [f"$ {pq.latex()} $"]
-        if partitions is not None:
-            lines += [f"$ {p.latex(rs)} $" for p in partitions]
-        _emit("\n".join(lines), args)
+        listed = (f"$ {p.latex(rs)} $" for p in partitions or ())
+        _emit(_lines(chain([f"$ {pq.latex()} $"], listed)), args)
     else:
-        lines = [pq.text(), f"℘ = {count}"]
-        if partitions is not None:
-            lines += [p.text(rs) for p in partitions]
-        _emit("\n".join(lines), args)
+        listed = (p.text(rs) for p in partitions or ())
+        _emit(_lines(chain([pq.text(), f"℘ = {count}"], listed)), args)
     return 0
 
 

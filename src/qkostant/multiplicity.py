@@ -12,8 +12,16 @@ serves every element (see ``partition``).  Its plain pass gives each
 p(xi_sigma) and so m.  m_q itself is summed once, at q = 2^w, from one
 pass evaluated there, and decoded once; w must hold every coefficient.
 For dominant mu they are nonnegative (Kato, Invent. Math. 66 (1982);
-Lusztig, Asterisque 101-102 (1983)) and sum to m: plain digits with
-w = m.bit_length().  For any other mu they lie in [-B, B], B the sum of
+Lusztig, Asterisque 101-102 (1983)) and sum to m, so w = m.bit_length()
+with plain digits holds them.  But most often they are 0 or 1, and then
+the narrowest pass, at q = 2, is enough.  It runs first when
+1 < m <= H + 1, H = ht(lam - mu) the largest degree; at m = 1 it is the
+pass at w = m.bit_length() already, and a larger m needs a coefficient
+above 1, since a polynomial of degree H has H + 1 coefficients.  m_q(2)
+is kept, read in binary digits, exactly when those digits sum to m: the
+digits are the coefficients unless some coefficient reached 2, and each
+carry lowers the digit sum by 1.  Otherwise the pass at w = m.bit_length()
+runs.  For any other mu the coefficients lie in [-B, B], B the sum of
 p(xi_sigma) by the triangle inequality: balanced digits, one bit wider.
 Every record's graded value is left to a graded pass over the same table,
 run only when one is read.
@@ -152,7 +160,7 @@ def compute_mq(
                 f"{list(mq.coeffs)} -- this indicates a bug"
             )
     elif records:
-        mq, m, records = _evaluated_mq(rs, box, records, dominant)
+        mq, m = _evaluated_mq(rs, box, records, dominant)
     else:
         mq, m = QPolynomial.zero(), 0
     return MultiplicityResult(
@@ -170,10 +178,10 @@ def _evaluated_mq(
     box: IntVec,
     records: Sequence[AlternationRecord],
     dominant: bool,
-) -> tuple[QPolynomial, int, list[AlternationRecord]]:
-    """m_q, m and the records with a lazy ``pq``, from one table over
-    ``box``: m from the plain pass, m_q from one pass evaluated at q = 2^w,
-    w wide enough for every coefficient (module notes)."""
+) -> tuple[QPolynomial, int]:
+    """m_q and m from one table over ``box``, giving each record a lazy
+    ``pq``: m from the plain pass, m_q from a pass evaluated at q = 2^w, w
+    wide enough for every coefficient (module notes)."""
     table = _GenfuncTable(rs, box)
     xis = [rec.xi.coeffs for rec in records]
     # sigma(lam + rho) <= lam + rho for dominant lam, so every xi is <= box
@@ -184,22 +192,25 @@ def _evaluated_mq(
         )
     counts = [table.count(v) for v in xis]
     m = sum(c if rec.sign > 0 else -c for c, rec in zip(counts, records))
-    # m_q's coefficients lie in [0, m] for dominant mu, else in [-B, B], B = sum(counts)
-    mq = table.signed_sum(
-        zip((rec.sign for rec in records), xis),
-        m if dominant else sum(counts),
-        signed=not dominant,
-    )
-    if mq.at_one() != m:
-        raise RuntimeError(
-            f"m_q(1) = {mq.at_one()} but the plain counts give m = {m} over "
-            f"{rs.lie_type} -- this indicates a bug"
-        )
-    filled = [
-        AlternationRecord(rec.element, rec.xi, rec.sign, partial(table, v))
-        for rec, v in zip(records, xis)
-    ]
-    return mq, m, filled
+    terms = [(rec.sign, v) for rec, v in zip(records, xis)]
+    # at q = 2, binary digits that sum to m are m_q itself (module notes)
+    mq = None
+    if dominant and 1 < m <= sum(box) + 1:
+        mq = table.signed_sum(terms, 1, signed=False)
+    if mq is None or mq.at_one() != m:
+        # coefficients in [0, m] for dominant mu, else in [-B, B], B = sum(counts)
+        bound = m if dominant else sum(counts)
+        mq = table.signed_sum(terms, bound, signed=not dominant)
+        if mq.at_one() != m:
+            raise RuntimeError(
+                f"m_q(1) = {mq.at_one()} but the plain counts give m = {m} over "
+                f"{rs.lie_type} -- this indicates a bug"
+            )
+    for rec, v in zip(records, xis):
+        # the search made these records for this call: fill pq in place, as
+        # the property caches it
+        object.__setattr__(rec, "_pq", partial(table, v))
+    return mq, m
 
 
 def compute_m(

@@ -55,10 +55,14 @@ reach, since a partition of v uses at most ht(v) roots.
   bits, c_w the least c with C_w < 2^c, never carry into a neighbour.  At
   w = L every coefficient is one limb: the graded pass (697-bit cells on
   the E8 theta box), run on the first read of a graded count.  A signed sum
-  with coefficients in [0, B] takes w = B.bit_length() and plain digits
-  (117 bits on E8 theta), in [-B, B] one bit more (at least 2) and balanced
-  digits: the sum of the cells is its value at 2^w, and its base-2^w digits
-  are its coefficients (Kronecker substitution).
+  with coefficients in [0, B] takes w = B.bit_length() and plain digits,
+  in [-B, B] one bit more (at least 2) and balanced digits: the sum of the
+  cells is its value at 2^w, and its base-2^w digits are its coefficients
+  (Kronecker substitution).  That w is only what the bound alone proves: a
+  sum whose coefficients are nonnegative and add up to a known m may be
+  read at w = 1, and kept when its binary digits add up to m, since a carry
+  out of a coefficient of 2 or more lowers that sum (``multiplicity``).
+  For m_q on the E8 theta box that is 42-bit cells against 117 at w = 4.
 
 Table budget.  Before any work a count or listing is refused
 (TableBudgetError) when the graded pass over its box would take more than

@@ -133,21 +133,30 @@ class TestJsonListing:
         assert code == 0
         assert out == json.dumps(payload, indent=2) + "\n"
 
-    def test_peak_memory_follows_the_text_listing(self, tmp_path):
-        # E6 theta, 622 partitions: rendered whole, the json listing peaked at
-        # four times the text listing
-        def peak(fmt):
-            argv = ["list-partitions", "E6", "--xi", "1,2,2,3,2,1", "--format", fmt]
-            argv += ["--out", str(tmp_path / fmt)]
-            main(argv)  # warm the library's caches
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @staticmethod
+    def listing_peak(tmp_path, fmt):
+        """tracemalloc's peak over the E6 theta listing (622 partitions)."""
+        argv = ["list-partitions", "E6", "--xi", "1,2,2,3,2,1", "--format", fmt]
+        argv += ["--out", str(tmp_path / fmt)]
+        main(argv)  # warm the library's caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        assert peak("json") <= 2 * peak("text")
+    def test_peak_memory_follows_the_text_listing(self, tmp_path):
+        # rendered whole, the json listing peaked at four times the text listing
+        peak = self.listing_peak(tmp_path, "json")
+        assert peak <= 2 * self.listing_peak(tmp_path, "text")
+
+    def test_every_listing_is_streamed(self, tmp_path):
+        # rendered into one string, the text listing peaked at 695 KB against
+        # 369 KB for the json listing, written entry by entry
+        peak = self.listing_peak(tmp_path, "json")
+        for fmt in ("text", "csv", "latex"):
+            assert self.listing_peak(tmp_path, fmt) <= 1.1 * peak, fmt
 
 
 class TestAltsetCommand:

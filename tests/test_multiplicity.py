@@ -10,6 +10,7 @@ import golden_tables as gt
 from qkostant import (
     QPolynomial,
     Weight,
+    alternation_set,
     apply,
     build_root_system,
     compute_m,
@@ -24,6 +25,16 @@ from qkostant import (
 )
 from qkostant.partition import _GenfuncTable
 from support import freudenthal_multiplicity, random_dominant_pair
+
+
+def freudenthal_pairs():
+    """The random dominant pairs of ``test_matches_freudenthal``."""
+    rng = Random(41)
+    names = "A1 A2 A3 A4 A5 B2 B3 B4 B5 C3 C4 C5 D4 D5 G2 F4".split()
+    for name in names:
+        rs = build_root_system(name)
+        for _ in range(8):
+            yield (rs,) + random_dominant_pair(rs, rng, max_total=3)
 
 
 class TestComputeMq:
@@ -107,21 +118,16 @@ class TestComputeMq:
     def test_matches_freudenthal(self):
         # m and m_q(1) on random dominant pairs, A to G up to rank 5,
         # against Freudenthal's recursion, which counts no partitions
-        rng = Random(41)
-        names = "A1 A2 A3 A4 A5 B2 B3 B4 B5 C3 C4 C5 D4 D5 G2 F4".split()
         nonzero = 0
-        for name in names:
-            rs = build_root_system(name)
-            for _ in range(8):
-                lam, mu = random_dominant_pair(rs, rng, max_total=3)
-                res = compute_mq(rs, lam, mu)
-                beta = (lam - mu).nonnegative_ints()
-                labels = tuple(int(sum(map(mul, row, lam.coeffs))) for row in rs.cartan)
-                m = 0
-                if beta is not None:
-                    m = freudenthal_multiplicity(rs.cartan, labels, beta)
-                assert res.m == res.mq.at_one() == m, (name, lam, mu)
-                nonzero += m > 0
+        for rs, lam, mu in freudenthal_pairs():
+            res = compute_mq(rs, lam, mu)
+            beta = (lam - mu).nonnegative_ints()
+            labels = tuple(int(sum(map(mul, row, lam.coeffs))) for row in rs.cartan)
+            m = 0
+            if beta is not None:
+                m = freudenthal_multiplicity(rs.cartan, labels, beta)
+            assert res.m == res.mq.at_one() == m, (rs.lie_type, lam, mu)
+            nonzero += m > 0
         assert nonzero > 60
 
 
@@ -227,6 +233,84 @@ class TestEvaluatedPass:
         for rec in Random(12).sample(res.records, 10):
             assert rec.pq == partition_genfunc(rs, rec.xi)
         assert res.mq == signed_pq_sum(res)
+
+
+class TestNarrowRead:
+    """For dominant mu with 1 < m <= H + 1, m_q is first read from the pass at
+    q = 2 and kept when its binary digits sum to m; else the pass at
+    w = m.bit_length() runs, as for every other dominant pair."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        calls = []
+        run = _GenfuncTable._pass_at
+
+        def spy(table, w):
+            slabs, cell_bits = run(table, w)
+            calls.append((w, cell_bits))
+            return slabs, cell_bits
+
+        monkeypatch.setattr(_GenfuncTable, "_pass_at", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", ["E6", "E7", "E8", "A20"])
+    def test_adjoint_reads_at_q_two(self, widths, name):
+        rs = build_root_system(name)
+        res = compute_mq(rs)
+        assert res.mq.exponent_multiset() == reference_exponents(name)
+        assert [w for w, _ in widths] == [1]
+        if name == "E8":
+            assert widths == [(1, 42)]
+
+    @pytest.mark.parametrize(
+        "name,coeffs",
+        [("D4", (0, 1, 0, 2, 0, 1)), ("D6", (0, 1, 0, 1, 0, 2, 0, 1, 0, 1))],
+    )
+    def test_repeated_exponent_falls_back(self, widths, name, coeffs):
+        # m <= H + 1, but the coefficient 2 carries at q = 2: the digits
+        # sum to less than m, and the pass at w = m.bit_length() decides
+        rs = build_root_system(name)
+        res = compute_mq(rs)
+        assert res.m <= sum(rs.highest_root.coeffs) + 1
+        assert res.mq.coeffs == coeffs
+        assert [w for w, _ in widths] == [1, res.m.bit_length()]
+
+    def test_d4_binary_digits_without_the_test_are_wrong(self):
+        # m_q(2) = 2 + 16 + 32 = 50 = 0b110010: read in binary digits it is
+        # q + q^4 + q^5, whose digits sum to 3, not m = 4
+        rs = build_root_system("D4")
+        box = tuple(int(c) for c in rs.highest_root)
+        res = compute_mq(rs)
+        table = _GenfuncTable(rs, box)
+        terms = [(rec.sign, rec.xi.coeffs) for rec in res.records]
+        binary = table.signed_sum(terms, 1, signed=False)
+        assert binary.coeffs == (0, 1, 0, 0, 1, 1)
+        assert binary.at_one() == 3 < res.m == 4
+
+    def test_large_m_skips_q_two(self, widths):
+        # m = 6 > H + 1 = 5: no polynomial of degree 4 with coefficients 0
+        # and 1 sums to 6, so only the pass at w = 3 runs
+        rs = build_root_system("C3")
+        lam, mu = rs.omega_to_alpha((1, 1, 1)), rs.omega_to_alpha((1, 0, 1))
+        res = compute_mq(rs, lam, mu)
+        assert (res.m, sum((lam - mu).coeffs)) == (6, 4)
+        assert res.mq.coeffs == (0, 1, 2, 2, 1)
+        assert [w for w, _ in widths] == [3]
+
+    def test_records_are_the_search_records(self):
+        rs = build_root_system("F4")
+        res = compute_mq(rs)
+        assert res.records == tuple(alternation_set(rs))
+        for rec in res.records:
+            assert rec.pq == partition_genfunc(rs, rec.xi)
+
+    def test_freudenthal_pairs_match_the_tree(self):
+        tried = 0
+        for rs, lam, mu in freudenthal_pairs():
+            res = compute_mq(rs, lam, mu)
+            assert res.mq == compute_mq(rs, lam, mu, method="tree").mq, (rs, lam, mu)
+            tried += 1 < res.m <= sum((lam - mu).coeffs) + 1
+        assert tried > 20
 
 
 class TestFullGroupCrossCheck:
