@@ -21,7 +21,6 @@ from .weyl import (
     canonical_word,
     enumerate_group,
     group_order_bfs,
-    simple_reflection,
     word_str,
 )
 from .partition import (
@@ -72,7 +71,6 @@ __all__ = [
     "partition_tree_count",
     "partition_tree_list",
     "reference_exponents",
-    "simple_reflection",
     "verify_exponents",
     "weyl_group_order",
     "word_str",

@@ -14,8 +14,9 @@ the simple-root basis by default or in the fundamental-weight basis with
 ``--basis omega``.  Output formats: text (default), json, csv, latex; every
 csv table goes through one writer.  Counts come from the generating-function
 kernel, and ``list-partitions`` refuses a listing past the table budget.
-``verify`` takes Lie types, ``--format``, ``--out`` and
-``--max-group-order``.  Each subparser names the function that runs it.
+``verify`` takes Lie types, ``--format`` and ``--out``, and also counts each
+group of order up to ``DEFAULT_MAX_GROUP_ORDER`` by walking it.  Each
+subparser names the function that runs it.
 A ``ValueError`` (bad input, or one the library raises) or an ``OSError``
 (an unwritable ``--out``) prints one line on stderr and exits 2.
 """
@@ -239,7 +240,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("verify needs at least one Lie type")
     reports = [
         verify_exponents(
-            build_root_system(name), enumerate_order_limit=args.max_group_order
+            build_root_system(name), enumerate_order_limit=DEFAULT_MAX_GROUP_ORDER
         )
         for name in args.types
     ]
@@ -362,12 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="exponent identity checks"
     )
     p_verify.add_argument("types", nargs="*", metavar="TYPE")
-    p_verify.add_argument(
-        "--max-group-order",
-        type=int,
-        default=DEFAULT_MAX_GROUP_ORDER,
-        metavar="N",
-    )
     p_verify.set_defaults(run=_cmd_verify)
 
     return parser

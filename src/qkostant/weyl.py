@@ -1,24 +1,26 @@
 """Weyl-group elements acting on simple-root coordinates.
 
-An element is an integer matrix M with (M w)_k = sum_j M[k][j] w_j; its
-columns are the images of the simple roots, so every column is the
-coefficient vector of a root (all entries of one sign).  Right
-multiplication by a simple reflection s_i is a cheap column update, and i is
-a right descent of M (length drops under M s_i) iff column i is negative.
+An element sigma is held as the tuple of its columns, columns[j] =
+sigma(alpha_j) in simple-root coordinates, so it acts on a weight w by
+sigma(w) = sum_j w_j columns[j], and every column is the coefficient vector
+of a root (all entries of one sign).  Right multiplication by a simple
+reflection s_i is a cheap column update, :func:`_rmul_simple`, and i is a
+right descent of sigma (length drops under sigma s_i) iff column i is
+negative.
 
 Every element has one canonical reduced word: strip the smallest right
 descent until the identity is reached and read the stripped letters in
 reverse.  The canonical words form a tree rooted at the empty word
 (Casselman, Invent. Math. 116 (1994); Stembridge, MSJ Memoirs 11 (2001)):
-the children of M are the M s_i for which i is an ascent of M and no j < i
-is a descent of M s_i.  :func:`_walk` searches that tree one length layer at
-a time, so every element is met exactly once, in (length, canonical word)
-order, carrying its word, with no visited set, as the tuple of its columns
-with their heights carried down: a child rebuilds only the columns in the
-nonzeros of Cartan row i.  Enumerating the group, counting it and finding
-an alternation set are all this one walk; the last carries xi from parent
-to child in O(rank), off column i, and prunes each rejected child, before
-building it, together with its subtree.
+the children of sigma are the sigma s_i for which i is an ascent of sigma
+and no j < i is a descent of sigma s_i.  :func:`_walk` searches that tree
+one length layer at a time, so every element is met exactly once, in
+(length, canonical word) order, carrying its word, with no visited set, as
+the tuple of its columns with their heights carried down: a child rebuilds
+only the columns in the nonzeros of Cartan row i.  Enumerating the group,
+counting it and finding an alternation set are all this one walk; the last
+carries xi from parent to child in O(rank), off column i, and prunes each
+rejected child, before building it, together with its subtree.
 """
 
 from __future__ import annotations
@@ -48,10 +50,14 @@ def _identity(rank: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
 
 
-def _rmul_simple(cartan: Matrix, m: Matrix, i: int) -> Matrix:
-    """Matrix of m * s_{i+1}: column j becomes col_j - a_ij * col_i."""
-    a = cartan[i]
-    return tuple(tuple(x - a[j] * row[i] for j, x in enumerate(row)) for row in m)
+def _rmul_simple(nz_i: tuple[tuple[int, int], ...], cols: Matrix, i: int) -> Matrix:
+    """Columns of m s_{i+1} from the columns of m, given the nonzeros
+    ``nz_i`` of Cartan row i: column j becomes col_j - a_ij col_i; the
+    others are shared."""
+    ci, c = cols[i], list(cols)
+    for j, aij in nz_i:
+        c[j] = tuple([x - aij * y for x, y in zip(cols[j], ci)])
+    return tuple(c)
 
 
 def _walk(
@@ -86,28 +92,24 @@ def _walk(
                 child = keep(cols, data, i)
                 if child is None:
                     continue
-                # column j becomes col_j - a_ij col_i; the others are shared
-                ci, c = cols[i], list(cols)
-                for j, aij in nz[i]:
-                    c[j] = tuple([x - aij * y for x, y in zip(cols[j], ci)])
-                nxt.append((tuple(c), g, word + (i + 1,), child))
+                nxt.append((_rmul_simple(nz[i], cols, i), g, word + (i + 1,), child))
         layer = nxt
 
 
-def canonical_word(cartan: Matrix, m: Matrix) -> tuple[int, ...]:
+def canonical_word(cartan: Matrix, columns: Matrix) -> tuple[int, ...]:
     """Reduced word by greedy smallest-right-descent stripping (1-based)."""
+    nz = _cartan_nonzeros(cartan)
     stripped: list[int] = []
-    r = len(cartan)
     while True:
-        for i in range(r):
-            if any(row[i] < 0 for row in m):  # column i is a negative root
+        for i, col in enumerate(columns):
+            if min(col) < 0:  # column i is a negative root
                 stripped.append(i + 1)
-                m = _rmul_simple(cartan, m, i)
+                columns = _rmul_simple(nz[i], columns, i)
                 break
         else:
             break
-    if m != _identity(r):
-        raise ValueError("matrix is not a Weyl-group element for this Cartan matrix")
+    if columns != _identity(len(cartan)):
+        raise ValueError("columns are not a Weyl-group element for this Cartan matrix")
     return tuple(reversed(stripped))
 
 
@@ -118,11 +120,11 @@ def word_str(word: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A group element: its matrix, a reduced word for it, and the Cartan
-    matrix it lives over."""
+    """A group element sigma: its columns, columns[j] = sigma(alpha_j), a
+    reduced word for it, and the Cartan matrix it lives over."""
 
     cartan: Matrix
-    matrix: Matrix
+    columns: Matrix
     word: tuple[int, ...]
 
     @property
@@ -135,7 +137,7 @@ class WeylElement:
 
     @property
     def rank(self) -> int:
-        return len(self.matrix)
+        return len(self.columns)
 
     def __str__(self) -> str:
         return word_str(self.word)
@@ -144,20 +146,13 @@ class WeylElement:
         return f"WeylElement({word_str(self.word)}, length={self.length})"
 
 
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    """The reflection s_i, 1 <= i <= rank."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"reflection index {i} out of range 1..{rs.rank}")
-    m = _rmul_simple(rs.cartan, _identity(rs.rank), i - 1)
-    return WeylElement(rs.cartan, m, (i,))
-
-
 def apply(e: WeylElement, w: Weight) -> Weight:
-    """Matrix action of ``e`` on a weight, exact over the rationals."""
+    """The image sum_j w_j columns[j] of a weight, exact over the rationals."""
     if len(w) != e.rank:
         raise ValueError(f"rank mismatch: element {e.rank}, weight {len(w)}")
     return Weight(
-        sum((row[j] * w[j] for j in range(e.rank)), Fraction(0)) for row in e.matrix
+        sum((c[k] * x for c, x in zip(e.columns, w)), Fraction(0))
+        for k in range(e.rank)
     )
 
 
@@ -175,7 +170,7 @@ def enumerate_group(
     carrying its canonical word.  Refuses to start when the known group
     order exceeds ``max_order``."""
     _check_order(rs, max_order)
-    return [WeylElement(rs.cartan, tuple(zip(*c)), w) for c, w, _ in _walk(rs)]
+    return [WeylElement(rs.cartan, c, w) for c, w, _ in _walk(rs)]
 
 
 def group_order_bfs(rs: RootSystem, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
@@ -239,8 +234,8 @@ def alternation_set(
         )
     # The admitted subtree is rooted at the identity, whose xi is lam - mu.
     # xi(sigma s_i) = xi(sigma) - <lam+rho, alpha_i^vee> sigma(alpha_i), read
-    # off column i of sigma's matrix, is an integer step: integrality is
-    # settled at the root, and a child needs only the sign test.
+    # off column i, is an integer step: integrality is settled at the root,
+    # and a child needs only the sign test.
     root = (lam - mu).nonnegative_ints()
     if root is None:
         return []
@@ -253,7 +248,7 @@ def alternation_set(
 
     return [
         AlternationRecord(
-            WeylElement(rs.cartan, tuple(zip(*cols)), word),
+            WeylElement(rs.cartan, cols, word),
             Weight._of_ints(v),
             -1 if len(word) % 2 else 1,
         )

@@ -5,8 +5,11 @@ root sets are regenerated by reflection-orbit closure, partitions and
 graded partition counts by plain enumeration over a multiplicity box,
 weight multiplicities by Freudenthal's recursion, Coxeter lengths by
 counting the positive roots sent negative, products of Weyl elements by
-full matrix multiplication, and alternation sets by testing every element
-of the group in scaled integers.
+full matrix multiplication on columns, and alternation sets by testing
+every element of the group in scaled integers.  An element sigma acts
+here through its columns, sigma(v) = sum_j v_j sigma(alpha_j), never
+through the library's column update; a product takes only its word from
+the library's ``canonical_word``.
 """
 
 from __future__ import annotations
@@ -21,32 +24,42 @@ from random import Random
 from qkostant import RootSystem, Weight, WeylElement, canonical_word
 
 
+def image(e: WeylElement, v) -> list:
+    """e(v) = sum_j v_j e.columns[j], in the arithmetic of v's entries."""
+    return [sum(c[k] * x for c, x in zip(e.columns, v)) for k in range(len(v))]
+
+
 def identity_element(rs: RootSystem) -> WeylElement:
     r = rs.rank
-    m = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-    return WeylElement(rs.cartan, m, ())
+    cols = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    return WeylElement(rs.cartan, cols, ())
+
+
+def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
+    """The reflection s_i, 1 <= i <= rank: s_i(alpha_j) = alpha_j - a_ij alpha_i,
+    a_ij = <alpha_j, alpha_i^vee> read from Cartan row i."""
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"reflection index {i} out of range 1..{rs.rank}")
+    r, a = rs.rank, rs.cartan[i - 1]
+    cols = tuple(
+        tuple(int(k == j) - a[j] * int(k == i - 1) for k in range(r)) for j in range(r)
+    )
+    return WeylElement(rs.cartan, cols, (i,))
 
 
 def compose(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Product a*b by matrix multiplication, its word recomputed from scratch."""
+    """Product a*b by matrix multiplication on columns,
+    col_j(ab) = sum_k b.columns[j][k] a.columns[k], its word recomputed from
+    scratch."""
     if a.cartan != b.cartan:
         raise ValueError("cannot compose elements over different Cartan matrices")
-    bt = tuple(zip(*b.matrix))
-    m = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-        for row in a.matrix
-    )
-    return WeylElement(a.cartan, m, canonical_word(a.cartan, m))
+    cols = tuple(tuple(image(a, col)) for col in b.columns)
+    return WeylElement(a.cartan, cols, canonical_word(a.cartan, cols))
 
 
 def length_by_negative_roots(rs: RootSystem, e: WeylElement) -> int:
     """Coxeter length as the number of positive roots sent negative."""
-    count = 0
-    for v in rs.root_vectors:
-        img = [sum(row[j] * v[j] for j in range(rs.rank)) for row in e.matrix]
-        if any(x < 0 for x in img):
-            count += 1
-    return count
+    return sum(1 for v in rs.root_vectors if min(image(e, v)) < 0)
 
 
 def determinant(m) -> int:
@@ -204,12 +217,13 @@ def freudenthal_multiplicity(
 
 
 def exhaustive_alternation(elements, lam: Weight, mu: Weight, rho: Weight) -> dict:
-    """{matrix: xi} over every element sigma whose xi = sigma(lam+rho) - (rho+mu)
+    """{columns: xi} over every element sigma whose xi = sigma(lam+rho) - (rho+mu)
     has nonnegative integer coefficients, found by testing each element.
 
     Independent of the library's Weyl action: both weights are scaled by the
-    lcm d of their denominators, each matrix acts on plain ints, and xi is
-    kept when every scaled coefficient is a nonnegative multiple of d.
+    lcm d of their denominators, each element acts on plain ints through its
+    columns, and xi is kept when every scaled coefficient is a nonnegative
+    multiple of d.
     """
     target, shift = lam + rho, rho + mu
     d = lcm(*(c.denominator for c in target.coeffs + shift.coeffs))
@@ -217,9 +231,9 @@ def exhaustive_alternation(elements, lam: Weight, mu: Weight, rho: Weight) -> di
     s = [int(c * d) for c in shift.coeffs]
     found = {}
     for e in elements:
-        v = [sum(map(mul, row, t)) - sj for row, sj in zip(e.matrix, s)]
+        v = [x - sj for x, sj in zip(image(e, t), s)]
         if min(v) >= 0 and all(x % d == 0 for x in v):
-            found[e.matrix] = Weight([x // d for x in v])
+            found[e.columns] = Weight([x // d for x in v])
     return found
 
 

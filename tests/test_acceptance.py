@@ -26,7 +26,6 @@ from qkostant import (
     partition_genfunc,
     partition_tree_count,
     partition_tree_list,
-    simple_reflection,
     verify_exponents,
     weyl_group_order,
     word_str,
@@ -37,6 +36,7 @@ from support import (
     determinant,
     exhaustive_alternation,
     random_dominant_pair,
+    simple_reflection,
 )
 
 RANK_LE_4 = [
@@ -219,9 +219,9 @@ def test_c7_pruning_soundness():
             lam, mu = random_dominant_pair(rs, rng)
             records = alternation_set(rs, lam, mu)
             expected = exhaustive_alternation(elements, lam, mu, rs.rho)
-            assert {r.element.matrix for r in records} == set(expected)
+            assert {r.element.columns for r in records} == set(expected)
             for rec in records:
-                assert rec.xi == expected[rec.element.matrix]
+                assert rec.xi == expected[rec.element.columns]
             assert (
                 compute_mq(rs, lam, mu).mq
                 == full_group_mq(rs, lam, mu, elements=elements)
@@ -234,7 +234,7 @@ def test_c8_structural_invariants():
     for name in ["G2", "F4", "B3"]:
         rs = build_root_system(name)
         for e in enumerate_group(rs):
-            assert determinant(e.matrix) == (-1) ** e.length
+            assert determinant(e.columns) == (-1) ** e.length
     # positive-root counts and the half-sum identity, every type of rank <= 8
     for name in ALL_RANK_8:
         rs = build_root_system(name)

@@ -271,12 +271,6 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
-    def test_max_group_order_limits_enumeration(self, capsys):
-        _, out_default, _ = run(capsys, "verify", "G2")
-        assert "|W| enumerated = 12" in out_default
-        _, out_limited, _ = run(capsys, "verify", "G2", "--max-group-order", "5")
-        assert "enumerated" not in out_limited
-
 
 class TestPinnedOutputs:
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -391,11 +385,13 @@ class TestUsageErrors:
             ["mult", "G2", "--type", "F4"],
             ["partition", "G2", "--xi", "2,2", "--method", "tree"],
             ["partition", "A45", "--xi", ",".join(["1"] * 45), "--method", "tree"],
+            ["verify", "G2", "--max-group-order", "5"],
         ],
     )
     def test_option_not_offered(self, capsys, argv):
         # no subcommand offers --method (every count is genfunc), verify
-        # takes no --basis, and the type is positional only
+        # takes no --basis and no --max-group-order, and the type is
+        # positional only
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -19,12 +19,11 @@ from qkostant import (
     full_group_mq,
     partition_genfunc,
     reference_exponents,
-    simple_reflection,
     verify_exponents,
     weyl_group_order,
 )
 from qkostant.partition import _GenfuncTable
-from support import freudenthal_multiplicity, random_dominant_pair
+from support import freudenthal_multiplicity, random_dominant_pair, simple_reflection
 
 
 def freudenthal_pairs():

@@ -14,7 +14,6 @@ from qkostant import (
     canonical_word,
     enumerate_group,
     group_order_bfs,
-    simple_reflection,
     word_str,
 )
 from support import (
@@ -22,8 +21,10 @@ from support import (
     determinant,
     exhaustive_alternation,
     identity_element,
+    image,
     length_by_negative_roots,
     random_dominant_pair,
+    simple_reflection,
 )
 
 
@@ -42,7 +43,7 @@ class TestSimpleReflections:
             rs = build_root_system(name)
             for i in range(1, rs.rank + 1):
                 s = simple_reflection(rs, i)
-                assert compose(s, s).matrix == identity_element(rs).matrix
+                assert compose(s, s).columns == identity_element(rs).columns
 
     def test_index_out_of_range(self):
         rs = build_root_system("A2")
@@ -114,20 +115,20 @@ class TestApplyCompose:
         for name in ["G2", "B3"]:
             rs = build_root_system(name)
             for e in enumerate_group(rs):
-                assert determinant(e.matrix) == (-1) ** e.length
+                assert determinant(e.columns) == (-1) ** e.length
                 assert length_by_negative_roots(rs, e) == e.length
 
     def test_canonical_words_reproduce_elements(self):
         for name in ["B3", "F4"]:
             rs = build_root_system(name)
             for e in enumerate_group(rs):
-                word = canonical_word(rs.cartan, e.matrix)
+                word = canonical_word(rs.cartan, e.columns)
                 assert e.word == word
                 assert len(word) == e.length
                 rebuilt = identity_element(rs)
                 for i in word:
                     rebuilt = compose(rebuilt, simple_reflection(rs, i))
-                assert rebuilt.matrix == e.matrix
+                assert rebuilt.columns == e.columns
 
 
 class TestEnumerateGroup:
@@ -145,10 +146,24 @@ class TestEnumerateGroup:
         rs = build_root_system(name)
         elements = enumerate_group(rs)
         assert len(elements) == order
-        assert len({e.matrix for e in elements}) == order
+        assert len({e.columns for e in elements}) == order
         # BFS returns elements in length order
         lengths = [e.length for e in elements]
         assert lengths == sorted(lengths)
+
+    def test_columns_are_images_of_simple_roots(self):
+        # columns[j] is alpha_j carried through the word, right to left, by
+        # s_i(v) = v - <v, alpha_i^vee> alpha_i, <v, alpha_i^vee> = sum_k a_ik v_k
+        for name in ["A3", "B3", "G2", "F4"]:
+            rs = build_root_system(name)
+            r = rs.rank
+            for e in enumerate_group(rs):
+                for j in range(r):
+                    v = [int(k == j) for k in range(r)]
+                    for i in reversed(e.word):
+                        v[i - 1] -= sum(a * x for a, x in zip(rs.cartan[i - 1], v))
+                    assert e.columns[j] == tuple(v), (name, e, j)
+                assert apply(e, rs.rho) == Weight(image(e, rs.rho))
 
     def test_e6_order(self):
         rs = build_root_system("E6")
@@ -215,20 +230,20 @@ class TestAlternationSet:
 
     def test_downward_closed(self):
         # every non-identity member arises from a member by one right factor
-        from qkostant.weyl import _rmul_simple
+        from qkostant.weyl import _cartan_nonzeros, _rmul_simple
 
         for name in ["G2", "F4", "B3"]:
             rs = build_root_system(name)
+            nz = _cartan_nonzeros(rs.cartan)
             records = alternation_set(rs)
-            matrices = {r.element.matrix for r in records}
+            members = {r.element.columns for r in records}
             for rec in records:
                 if rec.element.length == 0:
                     continue
                 parents = {
-                    _rmul_simple(rs.cartan, rec.element.matrix, i)
-                    for i in range(rs.rank)
+                    _rmul_simple(nz[i], rec.element.columns, i) for i in range(rs.rank)
                 }
-                assert parents & matrices
+                assert parents & members
 
     def test_matches_exhaustive_filter(self):
         # each dominant mu, then a random Weyl conjugate of it
@@ -241,7 +256,7 @@ class TestAlternationSet:
                 conjugate_mu = apply(pick.choice(elements), dominant_mu)
                 for mu in (dominant_mu, conjugate_mu):
                     records = alternation_set(rs, lam, mu)
-                    got = {r.element.matrix for r in records}
+                    got = {r.element.columns for r in records}
                     expected = set(exhaustive_alternation(elements, lam, mu, rs.rho))
                     assert got == expected
 
@@ -253,13 +268,13 @@ class TestAlternationSet:
             expected = exhaustive_alternation(
                 enumerate_group(rs), rs.highest_root, rs.zero_weight(), rs.rho
             )
-            assert {r.element.matrix for r in records} == set(expected)
+            assert {r.element.columns for r in records} == set(expected)
 
     def test_subset_of_group(self):
         rs = build_root_system("F4")
-        group = {e.matrix for e in enumerate_group(rs)}
+        group = {e.columns for e in enumerate_group(rs)}
         for rec in alternation_set(rs):
-            assert rec.element.matrix in group
+            assert rec.element.columns in group
 
     def test_rank_mismatch(self):
         rs = build_root_system("A2")
@@ -290,9 +305,10 @@ class TestAlternationSet:
         # exact arithmetic; records come by length, and every prefix of a
         # word is a record (the admitted set is a subtree), so each product
         # extends its prefix's by one factor
-        from qkostant.weyl import _identity, _rmul_simple
+        from qkostant.weyl import _cartan_nonzeros, _identity, _rmul_simple
 
         rs = build_root_system("E8")
+        nz = _cartan_nonzeros(rs.cartan)
         records = alternation_set(rs)
         assert len(records) == 2318
         target, shift = rs.highest_root + rs.rho, rs.rho
@@ -300,10 +316,9 @@ class TestAlternationSet:
         for rec in records:
             word = rec.element.word
             if word:
-                products[word] = _rmul_simple(
-                    rs.cartan, products[word[:-1]], word[-1] - 1
-                )
-            assert rec.element.matrix == products[word], rec.element
+                i = word[-1] - 1
+                products[word] = _rmul_simple(nz[i], products[word[:-1]], i)
+            assert rec.element.columns == products[word], rec.element
             assert rec.xi == apply(rec.element, target) - shift, rec.element
             assert rec.sign == (-1) ** rec.element.length
 
