@@ -190,17 +190,19 @@ def _evaluated_mq(
         raise RuntimeError(
             f"some xi reaches {top}, outside the box {box} -- this indicates a bug"
         )
-    counts = [table.count(v) for v in xis]
-    m = sum(c if rec.sign > 0 else -c for c, rec in zip(counts, records))
-    terms = [(rec.sign, v) for rec, v in zip(records, xis)]
+    # one cell address per xi serves every read
+    at = [table.address(v) for v in xis]
+    counts = table.counts(at)
+    signs = [rec.sign for rec in records]
+    m = sum(s * c for s, c in zip(signs, counts))
     # at q = 2, binary digits that sum to m are m_q itself (module notes)
     mq = None
     if dominant and 1 < m <= sum(box) + 1:
-        mq = table.signed_sum(terms, 1, signed=False)
+        mq = table.signed_sum(signs, at, 1, signed=False)
     if mq is None or mq.at_one() != m:
         # coefficients in [0, m] for dominant mu, else in [-B, B], B = sum(counts)
         bound = m if dominant else sum(counts)
-        mq = table.signed_sum(terms, bound, signed=not dominant)
+        mq = table.signed_sum(signs, at, bound, signed=not dominant)
         if mq.at_one() != m:
             raise RuntimeError(
                 f"m_q(1) = {mq.at_one()} but the plain counts give m = {m} over "

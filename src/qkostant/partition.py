@@ -32,7 +32,7 @@ total height h (:func:`_multisets_by_height`).
   p(v) <= p(box) for every cell v, and L = p(box).bit_length() holds every
   coefficient.  p(box) comes from a first, plain pass of the same kernel,
   one limb per cell and no q grading (24 bits on the E8 theta box, whose
-  largest graded coefficient has 21); that pass's own limb is M(ht(box)).
+  largest graded coefficient has 21); that pass's own limb is N(ht(box)).
 
 * The tree memo takes L = M(H).bit_length(), H the largest height its
   residual field can hold, so L covers every residual in the memo.
@@ -43,7 +43,11 @@ moves a count (``qshift``); H = ht(box) is the largest degree a cell can
 reach, since a partition of v uses at most ht(v) roots.
 
 * The plain pass, on construction: q = 1, no shift, cells of
-  M(H).bit_length() bits.  It gives p(v) for every cell and the limb L.
+  N(H).bit_length() bits, N(h) the number of multisets of non-simple roots
+  of total height at most h (M over their heights and one more 1).  The
+  simple roots finish any residual in one way, so a partition of v is fixed
+  by its non-simple roots, of height at most ht(v): p(v) <= N(H), 29 bits
+  on the E8 theta box, where M(H) needs 38.  It gives every p(v) and L.
 * The pass at q = 2^w (``_pass_at``): a shift of w bits.  The kernel is
   linear, so cell v ends at P_v(2^w), P_v the graded count of v, and every
   partial value of it sums over some partitions of v, so it is at most
@@ -97,7 +101,7 @@ from operator import lshift, mul, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from .qpoly import QPolynomial
-from .rootsys import IntVec, LieType, RootSystem, Weight
+from .rootsys import IntVec, LieType, RootSystem, Weight, build_root_system
 
 # Cells per genfunc slab.  64 was fastest on the E8 adjoint box and on
 # small boxes alike; 256 was two to three times slower on small boxes.
@@ -111,6 +115,10 @@ TABLE_BUDGET_BITS = 1 << 33
 # root (its tuple's header and list slots, the sort's scratch and its
 # PartitionMultiset: ~140 on CPython 3.11, more on 3.10), with room to spare.
 _ENTRY_BYTES = 384
+
+
+# A genfunc cell: its slab and its place in the slab.
+Address = tuple[int, int]
 
 
 class TableBudgetError(ValueError):
@@ -136,7 +144,7 @@ _TREE_CACHES: dict[LieType, _TreeMemo] = {}
 _TREE_CACHE_LIMIT = 4_000_000
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def _multisets_by_height(heights: tuple[int, ...], top: int) -> int:
     """The number of multisets of roots, of the heights ``heights``, with
     total height ``top``: the coefficient of t^top in prod_h 1/(1 - t^h)."""
@@ -180,17 +188,25 @@ class PartitionMultiset:
         return self._render(rs, Weight.latex)
 
 
-def check_table_budget(rs: RootSystem, box: IntVec) -> int:
-    """The plain pass's cell width over ``box``, M(H).bit_length() with
-    H = ht(box), once the graded table it plans, cells * (H + 1) * that many
-    bits, is known to fit :data:`TABLE_BUDGET_BITS`; else TableBudgetError.
-    A cell takes at least one bit, so a box whose cells * (H + 1) alone is
-    over the budget is refused before M(H) is computed."""
+@lru_cache(maxsize=None)
+def _root_heights(t: LieType) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The heights of the positive roots of ``t``, and those of its
+    non-simple roots with one more of height 1: M and N (module notes)."""
+    heights = tuple(map(sum, build_root_system(t).root_vectors))
+    return heights, heights[t.rank :] + (1,)
+
+
+def check_table_budget(rs: RootSystem, box: IntVec) -> None:
+    """TableBudgetError unless the graded table over ``box``, cells *
+    (H + 1) * M(H).bit_length() bits with H = ht(box), fits
+    :data:`TABLE_BUDGET_BITS`.  A cell takes at least one bit, so a box
+    whose cells * (H + 1) alone is over the budget is refused before M(H)
+    is computed."""
     cells, top = prod(b + 1 for b in box), sum(box)
     if cells * (top + 1) <= TABLE_BUDGET_BITS:
-        wide = _multisets_by_height(tuple(map(sum, rs.root_vectors)), top).bit_length()
+        wide = _multisets_by_height(_root_heights(rs.lie_type)[0], top).bit_length()
         if cells * (top + 1) * wide <= TABLE_BUDGET_BITS:
-            return wide
+            return
     raise TableBudgetError(
         f"{rs.lie_type}: a partition table of {cells} cells up to height {top} "
         f"is over the budget of {TABLE_BUDGET_BITS} bits"
@@ -214,8 +230,8 @@ def _tree_memo(rs: RootSystem, target: IntVec) -> _TreeMemo:
     bits = max(max(target), max(map(max, rs.root_vectors))).bit_length()
     memo = _TREE_CACHES.get(rs.lie_type)
     if memo is None or memo.bits < bits:
-        heights, top = tuple(map(sum, rs.root_vectors)), rs.rank * ((1 << bits) - 1)
-        limb = _multisets_by_height(heights, top).bit_length()
+        top = rs.rank * ((1 << bits) - 1)
+        limb = _multisets_by_height(_root_heights(rs.lie_type)[0], top).bit_length()
         memo = _TREE_CACHES[rs.lie_type] = _TreeMemo(bits, limb)
     elif len(memo.table) > _TREE_CACHE_LIMIT:
         memo.table.clear()
@@ -329,7 +345,8 @@ class _GenfuncTable:
     """Graded counts of every weight in a box, by the slab kernel run over
     one per-root plan (module notes): ``table.count(v)`` is the plain count
     of v, ``table.limb`` the limb of the graded pass, ``table(v)`` the graded
-    count of v and :meth:`signed_sum` a signed sum of graded counts.  The
+    count of v and :meth:`signed_sum` a signed sum of graded counts.  Many
+    reads go through the cell addresses of :meth:`address`, found once.  The
     plain pass runs on construction, the graded pass on the first
     ``table(v)``.  A plain class, as for :class:`_TreeMemo`.
 
@@ -340,11 +357,11 @@ class _GenfuncTable:
 
     __slots__ = (
         "limb", "_plan", "_top", "_excess", "_split", "_dims", "_strides",
-        "_wide", "_counts", "_graded",
+        "_flat", "_plain_bits", "_counts", "_graded",
     )
 
     def __init__(self, rs: RootSystem, box: IntVec) -> None:
-        self._wide = check_table_budget(rs, box)
+        check_table_budget(rs, box)
         r = rs.rank
         dims = [b + 1 for b in box]
         split, inner_cells = r, 1
@@ -358,6 +375,9 @@ class _GenfuncTable:
                 strides[j] = acc
                 acc *= dims[j]
         self._split, self._dims, self._strides = split, dims, strides
+        # v's cell number over the whole box, slab * inner_cells + cell
+        flat = [x * inner_cells for x in strides[:split]] + strides[split:]
+        self._flat = flat, inner_cells
         # Per fitting root: its inner part, the cells its inner part steps
         # over, the slabs its outer part steps over and, for a nonzero outer
         # part, the outer positions of its sub-box, shared by equal outer parts.
@@ -381,7 +401,10 @@ class _GenfuncTable:
             step = sum(map(mul, inner, strides[split:]))
             plan.append((inner, step, off, positions))
         self._plan, self._top, self._excess = plan, sum(box), excess
-        self._counts = self._run(self._wide, 0)
+        self._plain_bits = _multisets_by_height(
+            _root_heights(rs.lie_type)[1], self._top
+        ).bit_length()
+        self._counts = self._run(self._plain_bits, 0)
         self.limb = self.count(box).bit_length()
         self._graded: Optional[tuple[list[int], int]] = None
 
@@ -428,15 +451,23 @@ class _GenfuncTable:
                     slabs[p + off] += (slabs[p] & mask) << shift
         return slabs
 
-    def _cell(self, slabs: list[int], v: IntVec, cell_bits: int) -> int:
-        split, strides = self._split, self._strides
-        p = sum(map(mul, v[:split], strides))
-        c = sum(map(mul, v[split:], strides[split:]))
-        return (slabs[p] >> (c * cell_bits)) & ((1 << cell_bits) - 1)
+    def address(self, v: IntVec) -> Address:
+        """The slab holding cell v and the cell's place within it."""
+        strides, inner_cells = self._flat
+        return divmod(sum(map(mul, v, strides)), inner_cells)
+
+    @staticmethod
+    def _read(slabs: list[int], cell_bits: int, at: Iterable[Address]) -> list[int]:
+        mask = (1 << cell_bits) - 1
+        return [(slabs[p] >> (c * cell_bits)) & mask for p, c in at]
+
+    def counts(self, at: Iterable[Address]) -> list[int]:
+        """The numbers of partitions at the addresses ``at``, by the plain pass."""
+        return self._read(self._counts, self._plain_bits, at)
 
     def count(self, v: IntVec) -> int:
         """The number of partitions of v, from the plain pass."""
-        return self._cell(self._counts, v, self._wide)
+        return self.counts([self.address(v)])[0]
 
     def _pass_at(self, w: int) -> tuple[list[int], int]:
         """The pass evaluated at q = 2^w, with its cell width (module notes)."""
@@ -452,17 +483,18 @@ class _GenfuncTable:
         if self._graded is None:
             self._graded = self._pass_at(self.limb)
         slabs, cell_bits = self._graded
-        return QPolynomial.from_packed(self._cell(slabs, v, cell_bits), self.limb)
+        packed = self._read(slabs, cell_bits, [self.address(v)])[0]
+        return QPolynomial.from_packed(packed, self.limb)
 
     def signed_sum(
-        self, terms: Iterable[tuple[int, IntVec]], bound: int, signed: bool = True
+        self, signs: Sequence[int], at: Sequence[Address], bound: int, signed=True
     ) -> QPolynomial:
-        """Sum of sign * (graded count of v) over the (sign, v) of ``terms``,
-        coefficients in [-bound, bound] ([0, bound] unless ``signed``): one
-        pass at q = 2^w, decoded in balanced or plain digits (module notes)."""
+        """Sum of signs[k] * (graded count at address at[k]), coefficients in
+        [-bound, bound] ([0, bound] unless ``signed``): one pass at q = 2^w,
+        decoded in balanced or plain digits (module notes)."""
         width = max(1 + signed, bound.bit_length() + signed)
         slabs, cell_bits = self._pass_at(width)
-        total = sum(sign * self._cell(slabs, v, cell_bits) for sign, v in terms)
+        total = sum(map(mul, signs, self._read(slabs, cell_bits, at)))
         if not signed and total < 0:
             raise RuntimeError(f"{total} < 0 at q = 2^{width} -- this indicates a bug")
         decode = QPolynomial.from_balanced if signed else QPolynomial.from_packed

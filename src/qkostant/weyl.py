@@ -3,10 +3,9 @@
 An element sigma is held as the tuple of its columns, columns[j] =
 sigma(alpha_j) in simple-root coordinates, so it acts on a weight w by
 sigma(w) = sum_j w_j columns[j], and every column is the coefficient vector
-of a root (all entries of one sign).  Right multiplication by a simple
-reflection s_i is a cheap column update, :func:`_rmul_simple`, and i is a
-right descent of sigma (length drops under sigma s_i) iff column i is
-negative.
+of a root (all entries of one sign).  Right multiplication by s_i takes
+column j to col_j - a_ij col_i, a_ij != 0 in Cartan row i, and i is a right
+descent of sigma (length drops under sigma s_i) iff column i is negative.
 
 Every element has one canonical reduced word: strip the smallest right
 descent until the identity is reached and read the stripped letters in
@@ -15,12 +14,23 @@ reverse.  The canonical words form a tree rooted at the empty word
 the children of sigma are the sigma s_i for which i is an ascent of sigma
 and no j < i is a descent of sigma s_i.  :func:`_walk` searches that tree
 one length layer at a time, so every element is met exactly once, in
-(length, canonical word) order, carrying its word, with no visited set, as
-the tuple of its columns with their heights carried down: a child rebuilds
-only the columns in the nonzeros of Cartan row i.  Enumerating the group,
-counting it and finding an alternation set are all this one walk; the last
-carries xi from parent to child in O(rank), off column i, and prunes each
+(length, canonical word) order, with no visited set.  Enumerating the
+group, counting it and finding an alternation set are all this one walk;
+the last carries xi from parent to child, off column i, and prunes each
 rejected child, before building it, together with its subtree.
+
+Packed layout.  The walk and :func:`canonical_word` hold column j as one
+int, sum_k c_k 2^(b k), b bits per field, and the walk holds xi in the same
+fields.  Packing is additive, so the column update is exact on ints.  The
+entries of a root share one sign and are below 2^b in size, so the int has
+the root's sign (a descent is ``c < 0``) and is the root's alone: one dict
+lookup, :func:`_root_codes`, gives back the tuple.  The top bit of each
+field is a guard.  With each xi_k and step * (root coefficient) below
+2^(b-1), field k of (xi | guards) - step * c_i at an ascent i (c_i > 0) is
+2^(b-1) + xi_k - step c_ik, in [1, 2^b): no field borrows, and its guard
+stays set iff xi_k >= step c_ik, which admits the child.  So b is one more
+than the bit length of the largest box coordinate or step * (largest root
+coefficient), but at least 8, when xi decodes by ``int.to_bytes``.
 """
 
 from __future__ import annotations
@@ -28,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .qpoly import QPolynomial
-from .rootsys import IntVec, Matrix, RootSystem, Weight
+from .rootsys import IntVec, Matrix, RootSystem, Weight, _positive_root_closure
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
 
@@ -46,71 +56,90 @@ def _cartan_nonzeros(cartan: Matrix) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in cartan)
 
 
-def _identity(rank: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
+# Bits per packed field of roots alone.  A root coefficient is at most 6
+# (E8), so a column update of roots has entries of at most 24: it and a
+# root differ by less than 2^8 in each field, and pack equal only if equal.
+_ROOT_BITS = 8
 
 
-def _rmul_simple(nz_i: tuple[tuple[int, int], ...], cols: Matrix, i: int) -> Matrix:
-    """Columns of m s_{i+1} from the columns of m, given the nonzeros
-    ``nz_i`` of Cartan row i: column j becomes col_j - a_ij col_i; the
-    others are shared."""
-    ci, c = cols[i], list(cols)
-    for j, aij in nz_i:
-        c[j] = tuple([x - aij * y for x, y in zip(cols[j], ci)])
-    return tuple(c)
+def _pack(v: IntVec, bits: int) -> int:
+    return sum(c << (bits * k) for k, c in enumerate(v))
+
+
+@lru_cache(maxsize=64)
+def _root_codes(cartan: Matrix, bits: int) -> dict[int, IntVec]:
+    """Every root, positive and negative, keyed by its packed int at ``bits``
+    bits per field.  Keyed by the Cartan matrix: hashing a RootSystem costs
+    more than the lookups it would serve."""
+    codes = {}
+    for v in _positive_root_closure(cartan):
+        code = _pack(v, bits)
+        codes[code], codes[-code] = v, tuple(-c for c in v)
+    return codes
 
 
 def _walk(
-    rs: RootSystem,
-    keep: Callable[[Matrix, Any, int], Any] = lambda cols, data, i: data,
-    payload: Any = True,
-) -> Iterator[tuple[Matrix, tuple[int, ...], Any]]:
-    """Yield (columns, canonical word, payload) down the canonical-word tree,
-    one length layer at a time, from the identity carrying ``payload``.
-    ``keep(cols, data, i)`` returns the payload of the child m s_{i+1} of a
-    node, or None to drop it with its subtree; a child's columns are built
-    only once it is kept.  Without ``keep`` every payload is True."""
-    cartan, nz, r = rs.cartan, _cartan_nonzeros(rs.cartan), rs.rank
-    # h[j], the height of the root m(alpha_j), has the sign of column j; m s_i
-    # takes it to h[j] - a_ij h[i], still positive at an ascent j when i is an
-    # ascent (a_ij <= 0): past m's first descent d only neighbours of d qualify.
-    layer = [(_identity(r), [1] * r, (), payload)]
+    cartan: Matrix, bits: int, xi: int = 0, steps: Optional[list[int]] = None
+) -> Iterator[tuple[list[int], tuple[int, ...], int]]:
+    """Yield (packed columns, canonical word, packed xi) down the tree, one
+    length layer at a time, from the identity at ``xi``.  With ``steps``, a
+    child sigma s_{i+1} and its subtree are kept only when xi - steps[i] *
+    column i keeps every guard bit set; without, every element is kept."""
+    r, nz = len(cartan), _cartan_nonzeros(cartan)
+    guards = sum(1 << (bits * k + bits - 1) for k in range(r)) if steps else 0
+    steps = steps or [0] * r
+    # m s_i takes column j to c_j - a_ij c_i, still positive at an ascent j
+    # when i is an ascent (a_ij <= 0): past m's first descent d only
+    # neighbours of d can have every j < i an ascent of m s_i.
+    layer = [([1 << (bits * k) for k in range(r)], (), xi)]
     while layer:
         nxt = []
-        for cols, h, word, data in layer:
-            yield cols, word, data
-            d = next((j for j, x in enumerate(h) if x < 0), r)
+        for g, word, x in layer:
+            yield g, word, x
+            x |= guards
+            for d, col in enumerate(g):
+                if col < 0:
+                    break
+            else:
+                d = r
             for i, a in enumerate(cartan):
-                hi = h[i]
-                if hi < 0 or (i > d and not a[d]):
+                ci = g[i]
+                if ci < 0 or (i > d and not a[d]):
                     continue
-                g = h[:]
+                sub = x - steps[i] * ci
+                if sub & guards != guards:
+                    continue
+                c = g[:]
                 for j, aij in nz[i]:
-                    g[j] -= aij * hi
-                if i > d and min(g[:i]) < 0:
+                    c[j] -= aij * ci
+                if i > d and min(c[:i]) < 0:
                     continue
-                child = keep(cols, data, i)
-                if child is None:
-                    continue
-                nxt.append((_rmul_simple(nz[i], cols, i), g, word + (i + 1,), child))
+                nxt.append((c, word + (i + 1,), sub ^ guards))
         layer = nxt
 
 
 def canonical_word(cartan: Matrix, columns: Matrix) -> tuple[int, ...]:
-    """Reduced word by greedy smallest-right-descent stripping (1-based)."""
-    nz = _cartan_nonzeros(cartan)
-    stripped: list[int] = []
-    while True:
-        for i, col in enumerate(columns):
-            if min(col) < 0:  # column i is a negative root
-                stripped.append(i + 1)
-                columns = _rmul_simple(nz[i], columns, i)
-                break
-        else:
+    """Reduced word by greedy smallest-right-descent stripping (1-based).
+    Columns that are not a group element raise ValueError: each strip must
+    leave roots, and a group element strips to the identity in at most as
+    many strips as there are positive roots."""
+    nz, bits, r = _cartan_nonzeros(cartan), _ROOT_BITS, len(cartan)
+    codes = _root_codes(cartan, bits)
+    g = [_pack(col, bits) for col in columns]
+    word: list[int] = []
+    ok = len(g) == r and all(codes.get(c) == tuple(v) for c, v in zip(g, columns))
+    while ok and len(word) <= len(codes) // 2:
+        i = next((i for i, c in enumerate(g) if c < 0), r)
+        if i == r:
+            if g == [1 << (bits * k) for k in range(r)]:
+                return tuple(reversed(word))
             break
-    if columns != _identity(len(cartan)):
-        raise ValueError("columns are not a Weyl-group element for this Cartan matrix")
-    return tuple(reversed(stripped))
+        ci = g[i]
+        for j, aij in nz[i]:
+            g[j] -= aij * ci
+        ok = all(g[j] in codes for j, _ in nz[i])
+        word.append(i + 1)
+    raise ValueError("columns are not a Weyl-group element for this Cartan matrix")
 
 
 def word_str(word: tuple[int, ...]) -> str:
@@ -170,13 +199,17 @@ def enumerate_group(
     carrying its canonical word.  Refuses to start when the known group
     order exceeds ``max_order``."""
     _check_order(rs, max_order)
-    return [WeylElement(rs.cartan, c, w) for c, w, _ in _walk(rs)]
+    cartan, col = rs.cartan, _root_codes(rs.cartan, _ROOT_BITS).__getitem__
+    return [
+        WeylElement(cartan, tuple(map(col, g)), w)
+        for g, w, _ in _walk(cartan, _ROOT_BITS)
+    ]
 
 
 def group_order_bfs(rs: RootSystem, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
     """Count the group by walking it, holding one length layer at a time."""
     _check_order(rs, max_order)
-    return sum(1 for _ in _walk(rs))
+    return sum(1 for _ in _walk(rs.cartan, _ROOT_BITS))
 
 
 @dataclass(frozen=True)
@@ -235,22 +268,26 @@ def alternation_set(
     # The admitted subtree is rooted at the identity, whose xi is lam - mu.
     # xi(sigma s_i) = xi(sigma) - <lam+rho, alpha_i^vee> sigma(alpha_i), read
     # off column i, is an integer step: integrality is settled at the root,
-    # and a child needs only the sign test.
+    # and a child needs only the sign test, on guarded fields (module notes).
     root = (lam - mu).nonnegative_ints()
     if root is None:
         return []
     steps = [int(p) + 1 for p in pairings]  # <lam+rho, alpha_i^vee>
-
-    def keep(cols: Matrix, parent: IntVec, i: int) -> Optional[IntVec]:
-        step = steps[i]
-        child = tuple([x - step * c for x, c in zip(parent, cols[i])])
-        return child if min(child) >= 0 else None
-
+    # the highest root has every root's largest coefficient
+    cartan, r = rs.cartan, rs.rank
+    top = max(max(root), max(steps) * max(rs.root_vectors[-1]))
+    bits = max(_ROOT_BITS, top.bit_length() + 1)
+    col = _root_codes(cartan, bits).__getitem__
+    if bits == 8:
+        unpack: Callable[[int], IntVec] = lambda x: tuple(x.to_bytes(r, "little"))
+    else:
+        mask, shifts = (1 << bits) - 1, range(0, r * bits, bits)
+        unpack = lambda x: tuple([(x >> s) & mask for s in shifts])
     return [
         AlternationRecord(
-            WeylElement(rs.cartan, cols, word),
-            Weight._of_ints(v),
+            WeylElement(cartan, tuple(map(col, g)), word),
+            Weight._of_ints(unpack(x)),
             -1 if len(word) % 2 else 1,
         )
-        for cols, word, v in _walk(rs, keep, root)
+        for g, word, x in _walk(cartan, bits, _pack(root, bits), steps)
     ]

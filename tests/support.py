@@ -8,8 +8,9 @@ counting the positive roots sent negative, products of Weyl elements by
 full matrix multiplication on columns, and alternation sets by testing
 every element of the group in scaled integers.  An element sigma acts
 here through its columns, sigma(v) = sum_j v_j sigma(alpha_j), never
-through the library's column update; a product takes only its word from
-the library's ``canonical_word``.
+through the library's packed column update, whose reference in tuples is
+:func:`rmul_simple`; a product takes only its word from the library's
+``canonical_word``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
         tuple(int(k == j) - a[j] * int(k == i - 1) for k in range(r)) for j in range(r)
     )
     return WeylElement(rs.cartan, cols, (i,))
+
+
+def rmul_simple(cartan, cols, i: int) -> tuple:
+    """Columns of m s_{i+1} from the columns of m: column j becomes
+    col_j - a_ij col_i, a_ij read from Cartan row i."""
+    ci, row = cols[i], cartan[i]
+    return tuple(
+        tuple(x - row[j] * y for x, y in zip(col, ci)) if row[j] else col
+        for j, col in enumerate(cols)
+    )
 
 
 def compose(a: WeylElement, b: WeylElement) -> WeylElement:

@@ -218,12 +218,13 @@ class TestEvaluatedPass:
         rs = build_root_system("G2")
         box = tuple(int(c) for c in rs.highest_root)
         table = _GenfuncTable(rs, box)
-        plain = table.signed_sum([(1, box)], 4, signed=False)
+        at = [table.address(box)]
+        plain = table.signed_sum([1], at, 4, signed=False)
         assert plain.coeffs == (0, 1, 2, 2, 1, 1)
         with pytest.raises(RuntimeError, match="indicates a bug"):
-            table.signed_sum([(-1, box)], 4, signed=False)
+            table.signed_sum([-1], at, 4, signed=False)
         # balanced digits read the same sum as it is
-        assert table.signed_sum([(-1, box)], 4).coeffs == (0, -1, -2, -2, -1, -1)
+        assert table.signed_sum([-1], at, 4).coeffs == (0, -1, -2, -2, -1, -1)
 
     def test_e8_lazy_records_match_partition_genfunc(self):
         rs = build_root_system("E8")
@@ -281,8 +282,9 @@ class TestNarrowRead:
         box = tuple(int(c) for c in rs.highest_root)
         res = compute_mq(rs)
         table = _GenfuncTable(rs, box)
-        terms = [(rec.sign, rec.xi.coeffs) for rec in res.records]
-        binary = table.signed_sum(terms, 1, signed=False)
+        signs = [rec.sign for rec in res.records]
+        at = [table.address(rec.xi.coeffs) for rec in res.records]
+        binary = table.signed_sum(signs, at, 1, signed=False)
         assert binary.coeffs == (0, 1, 0, 0, 1, 1)
         assert binary.at_one() == 3 < res.m == 4
 

@@ -250,8 +250,9 @@ CELL_WIDTH_CASES = [
 
 
 class TestCellWidth:
-    """The pass at q = 2^w takes cells of H w + min(c_w, L) bits, c_w from
-    the non-simple roots fitting the box (module notes)."""
+    """The plain pass takes cells of N(H).bit_length() bits and the pass at
+    q = 2^w cells of H w + min(c_w, L) bits, c_w from the non-simple roots
+    fitting the box (module notes)."""
 
     def test_every_cell_is_its_graded_count_at_2_to_the_w(self):
         arms = set()
@@ -260,6 +261,13 @@ class TestCellWidth:
             table = _GenfuncTable(rs, box)
             cells = list(itertools.product(*(range(b + 1) for b in box)))
             graded = {v: partition_tree_count(rs, Weight(v)) for v in cells}
+            # the plain slabs hold each p(v) in its own cell: none carried
+            bits, slabs = table._plain_bits, [0] * len(table._counts)
+            for v in cells:
+                assert graded[v].at_one() < 1 << bits, (name, box, v)
+                p, c = table.address(v)
+                slabs[p] += graded[v].at_one() << (c * bits)
+            assert slabs == table._counts, (name, box)
             for w in sorted({1, 2, 4, table.limb}):
                 slabs, bits = table._pass_at(w)
                 headroom = bits - sum(box) * w
@@ -268,7 +276,8 @@ class TestCellWidth:
                 for v in cells:
                     value = sum(c << (w * k) for k, c in enumerate(graded[v].coeffs))
                     assert value < 1 << bits, (name, box, w, v)
-                    assert table._cell(slabs, v, bits) == value, (name, box, w, v)
+                    got = table._read(slabs, bits, [table.address(v)])[0]
+                    assert got == value, (name, box, w, v)
         # both arms of the min: c_w < L, and L <= c_w
         assert arms == {True, False}
 
@@ -276,6 +285,8 @@ class TestCellWidth:
         rs = build_root_system("E8")
         box = tuple(int(c) for c in rs.highest_root)
         table = _GenfuncTable(rs, box)
+        # N(H) = 287,793,629 multisets of non-simple roots of height <= 29
+        assert table._plain_bits == 29
         monkeypatch.setattr(_GenfuncTable, "_run", lambda self, bits, w: [])
         widths = {w: table._pass_at(w)[1] for w in (4, 5, table.limb)}
         assert widths == {4: 117, 5: 146, 24: 697}

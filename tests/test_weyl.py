@@ -24,6 +24,7 @@ from support import (
     image,
     length_by_negative_roots,
     random_dominant_pair,
+    rmul_simple,
     simple_reflection,
 )
 
@@ -130,6 +131,23 @@ class TestApplyCompose:
                     rebuilt = compose(rebuilt, simple_reflection(rs, i))
                 assert rebuilt.columns == e.columns
 
+    @pytest.mark.parametrize(
+        "cols",
+        [
+            ((-1, 0), (0, 1)),  # roots, but alpha_2 - alpha_1 is none
+            ((0, 1), (1, 0)),  # the diagram flip, not in the group
+            ((2, 0), (0, 1)),  # a column that is no root
+            ((1, 0), (256, 0)),  # packs as the identity does at 8 bits
+            ((1, 0),),  # one column at rank 2
+        ],
+    )
+    def test_canonical_word_rejects_non_elements(self, cols):
+        # the first hung stripping tuple columns, which never reached the
+        # identity; every one must raise
+        rs = build_root_system("A2")
+        with pytest.raises(ValueError, match="not a Weyl-group element"):
+            canonical_word(rs.cartan, cols)
+
 
 class TestEnumerateGroup:
     def test_a1(self):
@@ -230,18 +248,16 @@ class TestAlternationSet:
 
     def test_downward_closed(self):
         # every non-identity member arises from a member by one right factor
-        from qkostant.weyl import _cartan_nonzeros, _rmul_simple
-
         for name in ["G2", "F4", "B3"]:
             rs = build_root_system(name)
-            nz = _cartan_nonzeros(rs.cartan)
             records = alternation_set(rs)
             members = {r.element.columns for r in records}
             for rec in records:
                 if rec.element.length == 0:
                     continue
                 parents = {
-                    _rmul_simple(nz[i], rec.element.columns, i) for i in range(rs.rank)
+                    rmul_simple(rs.cartan, rec.element.columns, i)
+                    for i in range(rs.rank)
                 }
                 assert parents & members
 
@@ -259,6 +275,43 @@ class TestAlternationSet:
                     got = {r.element.columns for r in records}
                     expected = set(exhaustive_alternation(elements, lam, mu, rs.rho))
                     assert got == expected
+
+    @pytest.mark.parametrize("m", [0, 1, 126, 127, 300])
+    def test_guard_bit_boundary(self, m):
+        # s_1 is admitted iff xi_1 >= <lam+rho, alpha_1^vee> = m + 1, the
+        # step; at m = 126 the step and xi fill a whole byte field below its
+        # guard bit, at m = 127 they need a ninth bit
+        rs = build_root_system("A2")
+        elements = enumerate_group(rs)
+        lam, step = rs.omega_to_alpha([m, 0]), m + 1
+        for x, admitted in ((step, True), (step - 1, False)):
+            mu = lam - Weight([x, 0])
+            records = alternation_set(rs, lam, mu)
+            words = {r.element.word: r.xi for r in records}
+            assert ((1,) in words) == admitted
+            if admitted:
+                assert words[(1,)] == rs.zero_weight()
+            expected = exhaustive_alternation(elements, lam, mu, rs.rho)
+            assert {r.element.columns: r.xi for r in records} == expected
+
+    def test_wide_fields_match_exhaustive_filter(self):
+        # lam up to 300 omega: every step past 127, so the walk packs xi in
+        # fields wider than a byte and decodes it by shifts; mu sits a few
+        # roots below a random sigma(lam + rho) - rho, so sigma and the path
+        # down to it are admitted
+        rng = Random(300)
+        for name in ["G2", "A2", "B3"]:
+            rs = build_root_system(name)
+            elements = enumerate_group(rs)
+            for _ in range(8):
+                lam = rs.omega_to_alpha([rng.randint(127, 300) for _ in range(rs.rank)])
+                sigma = rng.choice(elements)
+                below = Weight([rng.randint(0, 3) for _ in range(rs.rank)])
+                mu = apply(sigma, lam + rs.rho) - rs.rho - below
+                records = alternation_set(rs, lam, mu)
+                assert len(records) > sigma.length
+                expected = exhaustive_alternation(elements, lam, mu, rs.rho)
+                assert {r.element.columns: r.xi for r in records} == expected
 
     def test_matches_exhaustive_filter_rank_5(self):
         # the pruned search stays sound beyond the rank-4 sweep
@@ -305,22 +358,27 @@ class TestAlternationSet:
         # exact arithmetic; records come by length, and every prefix of a
         # word is a record (the admitted set is a subtree), so each product
         # extends its prefix's by one factor
-        from qkostant.weyl import _cartan_nonzeros, _identity, _rmul_simple
-
         rs = build_root_system("E8")
-        nz = _cartan_nonzeros(rs.cartan)
         records = alternation_set(rs)
         assert len(records) == 2318
         target, shift = rs.highest_root + rs.rho, rs.rho
-        products = {(): _identity(rs.rank)}
+        products = {(): identity_element(rs).columns}
         for rec in records:
             word = rec.element.word
             if word:
                 i = word[-1] - 1
-                products[word] = _rmul_simple(nz[i], products[word[:-1]], i)
+                products[word] = rmul_simple(rs.cartan, products[word[:-1]], i)
             assert rec.element.columns == products[word], rec.element
             assert rec.xi == apply(rec.element, target) - shift, rec.element
             assert rec.sign == (-1) ** rec.element.length
+
+
+def test_root_coefficients_fit_the_packed_field():
+    # the walk packs roots alone at _ROOT_BITS = 8 bits a field, and
+    # canonical_word tells an updated column from every root there, both
+    # only while no root coefficient exceeds 6
+    for name in ["A1", "A30", "B30", "C30", "D30", "E6", "E7", "E8", "F4", "G2"]:
+        assert max(build_root_system(name).highest_root) <= 6
 
 
 def test_word_str():
