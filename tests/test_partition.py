@@ -20,6 +20,7 @@ from qkostant import (
     partition_tree_list,
 )
 from qkostant.partition import (
+    SLAB_CELLS,
     _ENTRY_BYTES,
     _TREE_CACHES,
     _GenfuncTable,
@@ -119,6 +120,16 @@ class TestTreeCount:
             k, res = key & ((1 << index_bits) - 1), key >> index_bits
             coords = [(res >> (j * width)) & field for j in range(rs.rank)]
             assert all(map(int.__ge__, coords, rs.root_vectors[k]))
+
+    def test_memo_holds_at_most_its_limit(self, monkeypatch):
+        # the limit is checked before every insert, not only when a call
+        # starts: one call on F4 at 2 theta makes 3,590 entries
+        rs = build_root_system("F4")
+        xi = rs.highest_root + rs.highest_root
+        monkeypatch.delitem(_TREE_CACHES, rs.lie_type, raising=False)
+        monkeypatch.setattr("qkostant.partition._TREE_CACHE_LIMIT", 500)
+        assert partition_tree_count(rs, xi) == partition_genfunc(rs, xi)
+        assert 0 < len(_TREE_CACHES[rs.lie_type].table) <= 500
 
     def test_e7_theta_memo_keys_no_simple_root(self, monkeypatch):
         # the walk starts past the simple roots, which finish every residual
@@ -290,6 +301,89 @@ class TestCellWidth:
         monkeypatch.setattr(_GenfuncTable, "_run", lambda self, bits, w: [])
         widths = {w: table._pass_at(w)[1] for w in (4, 5, table.limb)}
         assert widths == {4: 117, 5: 146, 24: 697}
+
+
+def highest_root_box(name):
+    return tuple(int(c) for c in build_root_system(name).highest_root)
+
+
+def d5_box_past_4096(seed):
+    """A seeded D5 box of more than 4,096 cells."""
+    rng = Random(seed)
+    while True:
+        box = tuple(rng.randint(3, 7) for _ in range(5))
+        if math.prod(b + 1 for b in box) > 4096:
+            return box
+
+
+class TestSlabLayout:
+    """A box of more than 4,096 cells keeps pairwise non-adjacent inner axes
+    of at most 128 cells; a smaller one the trailing run of at most
+    SLAB_CELLS cells, as it was laid out before (module notes)."""
+
+    @pytest.mark.parametrize(
+        "name,box",
+        [
+            ("E8", highest_root_box("E8")),
+            ("E7", highest_root_box("E7")),
+            ("D5", d5_box_past_4096(2101)),
+        ],
+    )
+    def test_spread_cells_match_trailing_cells(self, monkeypatch, name, box):
+        rs = build_root_system(name)
+        spread = _GenfuncTable(rs, box)
+        assert list(spread._axes) != list(range(rs.rank))
+        monkeypatch.setattr("qkostant.partition._TRAILING_BOX_CELLS", math.inf)
+        trailing = _GenfuncTable(rs, box)
+        assert trailing._axes == range(rs.rank)
+        cells = list(itertools.product(*(range(b + 1) for b in box)))
+
+        def passes(table):
+            at = [table.address(v) for v in cells]
+            yield table.counts(at)
+            for w in (1, 4):
+                slabs, bits = table._pass_at(w)
+                yield bits, table._read(slabs, bits, at)
+
+        for got, want in zip(passes(spread), passes(trailing)):
+            assert got == want, (name, box)
+
+    @pytest.mark.parametrize("name", ["E8", "E7", "A20", "D12"])
+    def test_spread_inner_axes_are_non_adjacent(self, name):
+        rs = build_root_system(name)
+        table = _GenfuncTable(rs, highest_root_box(name))
+        split, axes, cartan = table._split, table._axes, rs.cartan
+        inner = axes[split:]
+        assert sorted(axes[:split]) == list(axes[:split])
+        assert sorted(inner) == list(inner) and sorted(axes) == list(range(rs.rank))
+        assert math.prod(table._dims[split:]) == table._flat[1] <= 128
+        for i, j in itertools.combinations(inner, 2):
+            assert cartan[i][j] == cartan[j][i] == 0, (name, i, j)
+        # a root's support is connected: only simple roots stay in a slab
+        for root_inner, _, off, positions in table._plan:
+            assert off or (positions is None and sum(root_inner) == 1)
+        if name == "E8":
+            outer_adds = sum(len(p) for _, _, _, p in table._plan if p is not None)
+            assert (list(inner), table._flat[1], outer_adds) == ([0, 3, 5], 105, 52_220)
+            assert len(table._counts) == 1440
+
+    def test_small_boxes_keep_the_trailing_axes(self):
+        # partition-sweep's band of 100-1,000 cells, and 4,096 cells, the
+        # largest box laid out on its trailing axes
+        cases = random_boxes("D5", 4, 2102, most=1000)
+        cases += random_boxes("E6", 4, 2103, most=1000) + [("A12", (1,) * 12)]
+        for name, box in cases:
+            rs = build_root_system(name)
+            table = _GenfuncTable(rs, box)
+            dims, split = [b + 1 for b in box], table._split
+            assert table._axes == range(rs.rank)
+            assert math.prod(dims[split:]) <= SLAB_CELLS
+            assert split == 0 or math.prod(dims[split - 1 :]) > SLAB_CELLS
+            fitting = [v for v in rs.root_vectors if all(map(int.__le__, v, box))]
+            assert [inner for inner, *_ in table._plan] == [v[split:] for v in fitting]
+        # past 4,096 cells the box is spread
+        rs = build_root_system("A12")
+        assert _GenfuncTable(rs, (2,) + (1,) * 11)._axes != range(12)
 
 
 class TestTreeList:
