@@ -20,7 +20,6 @@ from .weyl import (
     apply,
     canonical_word,
     enumerate_group,
-    group_order_bfs,
     word_str,
 )
 from .partition import (
@@ -64,7 +63,6 @@ __all__ = [
     "compute_mq",
     "enumerate_group",
     "full_group_mq",
-    "group_order_bfs",
     "kostant_partition",
     "partition_genfunc",
     "partition_genfunc_batch",

@@ -15,9 +15,9 @@ the children of sigma are the sigma s_i for which i is an ascent of sigma
 and no j < i is a descent of sigma s_i.  :func:`_walk` searches that tree
 one length layer at a time, so every element is met exactly once, in
 (length, canonical word) order, with no visited set.  Enumerating the
-group, counting it and finding an alternation set are all this one walk;
-the last carries xi from parent to child, off column i, and prunes each
-rejected child, before building it, together with its subtree.
+group and finding an alternation set are both this one walk; the second
+carries xi from parent to child, off column i, and prunes each rejected
+child, before building it, together with its subtree.
 
 Packed layout.  The walk and :func:`canonical_word` hold column j as one
 int, sum_k c_k 2^(b k), b bits per field, and the walk holds xi in the same
@@ -185,31 +185,20 @@ def apply(e: WeylElement, w: Weight) -> Weight:
     )
 
 
-def _check_order(rs: RootSystem, max_order: int) -> None:
-    if rs.weyl_order > max_order:
-        raise OrderExceededError(
-            f"|W({rs.lie_type})| = {rs.weyl_order} exceeds max_order = {max_order}"
-        )
-
-
-def enumerate_group(
-    rs: RootSystem, max_order: int = DEFAULT_MAX_GROUP_ORDER
-) -> list[WeylElement]:
+def enumerate_group(rs: RootSystem) -> list[WeylElement]:
     """The full Weyl group, in (length, canonical word) order, each element
     carrying its canonical word.  Refuses to start when the known group
-    order exceeds ``max_order``."""
-    _check_order(rs, max_order)
+    order exceeds ``DEFAULT_MAX_GROUP_ORDER``."""
+    if rs.weyl_order > DEFAULT_MAX_GROUP_ORDER:
+        raise OrderExceededError(
+            f"|W({rs.lie_type})| = {rs.weyl_order} exceeds "
+            f"DEFAULT_MAX_GROUP_ORDER = {DEFAULT_MAX_GROUP_ORDER}"
+        )
     cartan, col = rs.cartan, _root_codes(rs.cartan, _ROOT_BITS).__getitem__
     return [
         WeylElement(cartan, tuple(map(col, g)), w)
         for g, w, _ in _walk(cartan, _ROOT_BITS)
     ]
-
-
-def group_order_bfs(rs: RootSystem, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
-    """Count the group by walking it, holding one length layer at a time."""
-    _check_order(rs, max_order)
-    return sum(1 for _ in _walk(rs.cartan, _ROOT_BITS))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 The oracles here deliberately avoid the library's counting algorithms:
 root sets are regenerated by reflection-orbit closure, partitions and
 graded partition counts by plain enumeration over a multiplicity box,
-weight multiplicities by Freudenthal's recursion, Coxeter lengths by
-counting the positive roots sent negative, products of Weyl elements by
-full matrix multiplication on columns, and alternation sets by testing
-every element of the group in scaled integers.  An element sigma acts
+weight multiplicities by Freudenthal's recursion, dimensions by Weyl's
+formula, the graded multiplicities of type A as Kostka-Foulkes
+polynomials by charge, Coxeter lengths by counting the positive roots
+sent negative, products of Weyl elements by full matrix multiplication
+on columns, and alternation sets by testing every element of the group
+in scaled integers.  An element sigma acts
 here through its columns, sigma(v) = sum_j v_j sigma(alpha_j), never
 through the library's packed column update, whose reference in tuples is
 :func:`rmul_simple`; a product takes only its word from the library's
@@ -225,6 +227,92 @@ def freudenthal_multiplicity(
         return memo[beta]
 
     return m(tuple(beta))
+
+
+def weyl_dimension(cartan, lam: tuple[int, ...]) -> int:
+    """dim V(lam) by Weyl's formula, lam in simple-root coordinates:
+    the product over alpha > 0 of (lam + rho, alpha) / (rho, alpha), with
+    (lam + rho, alpha_i) = d_i (<lam, alpha_i^vee> + 1) from
+    :func:`_symmetrizer` and the roots from :func:`orbit_positive_roots`."""
+    r = len(cartan)
+    d = _symmetrizer(cartan)
+    labels = [sum(map(mul, cartan[i], lam)) for i in range(r)]
+    num = den = 1
+    for a in orbit_positive_roots(cartan):
+        num *= sum(a[i] * d[i] * (labels[i] + 1) for i in range(r))
+        den *= sum(a[i] * d[i] for i in range(r))
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"Weyl's formula: {num}/{den} at {lam}")
+    return quotient
+
+
+def harmonic_dimensions(exponents, dim: int, k_max: int) -> list[int]:
+    """dim H^k for k <= k_max: the coefficients of
+    prod_i (1 - q^(e_i + 1)) / (1 - q)^dim, the Hilbert series of the
+    symmetric algebra over its invariants, free on degrees e_i + 1
+    (Kostant, Amer. J. Math. 85 (1963))."""
+    series = [1] + [0] * k_max
+    for _ in range(dim):  # times 1 / (1 - q)
+        for k in range(1, k_max + 1):
+            series[k] += series[k - 1]
+    for e in exponents:  # times 1 - q^(e + 1)
+        for k in range(k_max, e, -1):
+            series[k] -= series[k - e - 1]
+    return series
+
+
+def semistandard_tableaux(shape, content):
+    """Every semistandard tableau of a partition shape and composition
+    content, as a tuple of rows, by adding the letters 1, 2, ... in turn as
+    horizontal strips: each new row length lies between the old one and
+    the old length of the row above."""
+    tableaux = [tuple(() for _ in shape)]
+    for letter, count in enumerate(content, 1):
+        grown = []
+        for t in tableaux:
+            old = [len(row) for row in t]
+            tops = [shape[0]] + [min(s, o) for s, o in zip(shape[1:], old)]
+            ranges = [range(o, top + 1) for o, top in zip(old, tops)]
+            for new in itertools.product(*ranges):
+                if sum(new) - sum(old) == count:
+                    grown.append(
+                        tuple(r + (letter,) * (n - len(r)) for r, n in zip(t, new))
+                    )
+        tableaux = grown
+    return [t for t in tableaux if [len(row) for row in t] == list(shape)]
+
+
+def charge(word) -> int:
+    """Charge of a word of partition content (Lascoux-Schutzenberger, C. R.
+    Acad. Sci. 286A (1978)).  Standard subwords are extracted in turn, each
+    by reading cyclically leftwards from the right end for 1, 2, ..., as
+    long as every letter remains; letter r + 1 takes the index of r, plus
+    one when the reading wrapped past the left end to reach it, and the
+    charge is the sum of the indices of every subword."""
+    rest, total = list(word), 0
+    while rest:
+        pos, index, picked = len(rest), 0, set()
+        for letter in range(1, max(rest) + 1):
+            left = [i for i in range(pos) if rest[i] == letter]
+            if not left:
+                index += 1
+                left = [i for i, x in enumerate(rest) if x == letter]
+            pos = left[-1]
+            total += index
+            picked.add(pos)
+        rest = [x for i, x in enumerate(rest) if i not in picked]
+    return total
+
+
+def kostka_foulkes(shape, content) -> list[int]:
+    """K_{shape, content}(q), coefficients from q^0: the sum of q^charge
+    over the semistandard tableaux, each read row by row from the bottom."""
+    coeffs = Counter(
+        charge([x for row in reversed(t) for x in row])
+        for t in semistandard_tableaux(shape, content)
+    )
+    return [coeffs[k] for k in range(max(coeffs, default=-1) + 1)]
 
 
 def exhaustive_alternation(elements, lam: Weight, mu: Weight, rho: Weight) -> dict:

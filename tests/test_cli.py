@@ -60,7 +60,8 @@ PINNED_OUTPUTS = json.loads(
 def mask_timings(out: str) -> str:
     """``out`` with the timings of ``verify`` (text, json, csv) as "*"."""
     out = re.sub(r"time: \d+\.\d+ s", "time: * s", out)
-    seconds = r"(\d+\.\d*|\d+(\.\d+)?e-\d+)"
+    # the exponent form first: "8.3e-05" must not stop after "8.3"
+    seconds = r"(\d+(\.\d+)?e-\d+|\d+\.\d*)"
     out = re.sub(rf'"seconds": {seconds}', '"seconds": *', out)
     return re.sub(rf",{seconds}\r\n", ",*\r\n", out)
 

@@ -1,5 +1,7 @@
-"""Multiplicity polynomials, the full-group cross-check, exponent reports."""
+"""Multiplicity polynomials, the full-group cross-check, graded oracles,
+exponent reports."""
 
+import itertools
 from math import prod
 from operator import mul
 from random import Random
@@ -23,7 +25,14 @@ from qkostant import (
     weyl_group_order,
 )
 from qkostant.partition import _GenfuncTable
-from support import freudenthal_multiplicity, random_dominant_pair, simple_reflection
+from support import (
+    freudenthal_multiplicity,
+    harmonic_dimensions,
+    kostka_foulkes,
+    random_dominant_pair,
+    simple_reflection,
+    weyl_dimension,
+)
 
 
 def freudenthal_pairs():
@@ -314,6 +323,72 @@ class TestNarrowRead:
         assert tried > 20
 
 
+def padded_partitions(size, length, largest=None):
+    """The partitions of ``size`` into at most ``length`` parts, each padded
+    with zeros to ``length`` parts."""
+    if length == 0:
+        if size == 0:
+            yield ()
+        return
+    top = size if largest is None else min(size, largest)
+    for part in range(top, -1, -1):
+        for rest in padded_partitions(size - part, length - 1, part):
+            yield (part,) + rest
+
+
+class TestGradedOracles:
+    @pytest.mark.parametrize(
+        "name, dims",
+        [
+            ("A2", [1, 8, 35, 111]),
+            ("G2", [1, 14, 104]),
+            ("B3", [1, 21, 230]),
+            ("D4", [1, 28, 405]),
+            ("F4", [1, 52, 1377]),
+            ("E6", [1, 78, 3080]),
+            ("E7", [1, 133, 8910]),
+        ],
+    )
+    def test_harmonic_identity(self, name, dims):
+        # The harmonic polynomials H^k on g hold V(lam) [q^k] m_q(lam, 0)
+        # times (Kostant, Amer. J. Math. 85 (1963); Hesselink, Math. Ann. 252
+        # (1980)), and every such lam is dominant, in the root lattice and at
+        # most k theta: sum dim V(lam) [q^k] m_q(lam, 0) = dim H^k.
+        rs = build_root_system(name)
+        k_max = len(dims) - 1
+        total = [0] * (k_max + 1)
+        box = [range(k_max * int(c) + 1) for c in rs.highest_root.coeffs]
+        for lam in itertools.product(*box):
+            if min(sum(map(mul, row, lam)) for row in rs.cartan) >= 0:
+                dim = weyl_dimension(rs.cartan, lam)
+                coeffs = compute_mq(rs, Weight(lam)).mq.coeffs
+                for k, c in enumerate(coeffs[: k_max + 1]):
+                    total[k] += dim * c
+        dim_g = rs.rank + 2 * len(rs.positive_roots)
+        assert total == harmonic_dimensions(reference_exponents(name), dim_g, k_max)
+        assert total == dims
+
+    def test_type_a_is_kostka_foulkes(self):
+        # m_q(lam, mu) = K_{lam mu}(q) in type A (Lusztig, Asterisque 101-102
+        # (1983)): lam and mu are partitions of one size with at most n + 1
+        # parts, read as weights of A_n by their Dynkin labels.  Pairs with
+        # mu not below lam in dominance order check a zero.
+        pairs = 0
+        for n in range(1, 5):
+            rs = build_root_system(f"A{n}")
+            for size in range(7):
+                shapes = list(padded_partitions(size, n + 1))
+                for lam, mu in itertools.product(shapes, repeat=2):
+                    lam_w, mu_w = (
+                        rs.omega_to_alpha([p[i] - p[i + 1] for i in range(n)])
+                        for p in (lam, mu)
+                    )
+                    mq = compute_mq(rs, lam_w, mu_w).mq
+                    assert list(mq.coeffs) == kostka_foulkes(lam, mu), (n, lam, mu)
+                    pairs += 1
+        assert pairs == 495
+
+
 class TestFullGroupCrossCheck:
     def test_matches_alternation_route(self):
         rng = Random(41)
@@ -346,14 +421,14 @@ class TestExponents:
             assert prod(e + 1 for e in exps) == weyl_group_order(name)
 
     def test_g2_report(self):
-        report = verify_exponents(build_root_system("G2"), enumerate_order_limit=100)
+        report = verify_exponents(build_root_system("G2"))
         assert report.ok
         assert report.identity_holds
         assert report.exponents == (1, 5)
         assert report.alt_set_size == 3
         assert report.listed_alt_set_size == 2
         assert any("reference table lists 2" in note for note in report.notes)
-        assert report.enumerated_weyl_order == 12
+        assert report.weyl_order == 12 and report.product_matches_group_order
 
     def test_e6_group_order_note(self):
         report = verify_exponents(build_root_system("E6"))

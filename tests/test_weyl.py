@@ -1,6 +1,5 @@
 """Weyl elements: reflections, words, group enumeration, alternation sets."""
 
-import os
 from random import Random
 
 import pytest
@@ -13,7 +12,6 @@ from qkostant import (
     build_root_system,
     canonical_word,
     enumerate_group,
-    group_order_bfs,
     word_str,
 )
 from support import (
@@ -185,25 +183,17 @@ class TestEnumerateGroup:
 
     def test_e6_order(self):
         rs = build_root_system("E6")
-        assert group_order_bfs(rs) == 51840
+        assert len(enumerate_group(rs)) == rs.weyl_order == 51840
 
     def test_guard(self):
-        rs = build_root_system("E7")
-        with pytest.raises(OrderExceededError):
-            enumerate_group(rs)
-        with pytest.raises(OrderExceededError):
-            group_order_bfs(build_root_system("E8"))
+        for name in ["E7", "E8"]:
+            with pytest.raises(OrderExceededError):
+                enumerate_group(build_root_system(name))
 
-    def test_bfs_count_matches_enumeration(self):
+    def test_enumeration_matches_closed_form_order(self):
         for name in ["A2", "B3", "G2"]:
             rs = build_root_system(name)
-            assert group_order_bfs(rs) == len(enumerate_group(rs))
-
-    @pytest.mark.slow
-    @pytest.mark.skipif(not os.environ.get("RUN_SLOW"), reason="RUN_SLOW=1 enables")
-    def test_e7_order(self):
-        rs = build_root_system("E7")
-        assert group_order_bfs(rs, max_order=3_000_000) == 2903040
+            assert len(enumerate_group(rs)) == rs.weyl_order
 
 
 class TestAlternationSet:
