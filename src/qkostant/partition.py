@@ -20,11 +20,12 @@ down, with a per-type memo of (root index, residual).  The depth is at most
 Both counts hold graded counts packed into big integers, a coefficient per
 limb of L bits (see qpoly).  L is proven, not guessed, by one bound.  Every
 value a kernel holds in place of weight v counts a subset of the partitions
-of v, so it is at most p(v), the number of partitions of v.  A partition of
-v is a multiset of roots of total height ht(v), and adding a root of height
-1 maps the multisets of one height one-to-one into those one higher; so
-p(v) <= M(h) for every h >= ht(v), M(h) the number of multisets of roots of
-total height h (:func:`_multisets_by_height`).
+of v, so it is at most p(v), the number of partitions of v.  The simple
+roots finish any residual in one way, so a partition of v is fixed by its
+multiset of non-simple roots, of total height at most ht(v): p(v) <= N(h)
+for every h >= ht(v), N(h) the number of multisets of non-simple roots of
+total height at most h (:func:`_multisets_by_height` over their heights and
+one more 1, :func:`_root_heights`).
 
 * Genfunc proves L per box from the exact count.  Every simple root
   alpha_j with box_j >= 1 fits the box, so adding the simple roots of
@@ -34,8 +35,9 @@ total height h (:func:`_multisets_by_height`).
   one limb per cell and no q grading (24 bits on the E8 theta box, whose
   largest graded coefficient has 21); that pass's own limb is N(ht(box)).
 
-* The tree memo takes L = M(H).bit_length(), H the largest height its
-  residual field can hold, so L covers every residual in the memo.
+* The tree memo takes L = N(H).bit_length(), H the largest height its
+  residual field can hold, so L covers every residual in the memo: 45 bits
+  on E8 (H = 56), 19 on F4 and 17 on E6 at their highest roots.
 
 Genfunc passes.  One kernel, ``_GenfuncTable._run``, makes two passes
 that differ only in the cell width and in how far one copy of a root
@@ -43,11 +45,8 @@ moves a count (``qshift``); H = ht(box) is the largest degree a cell can
 reach, since a partition of v uses at most ht(v) roots.
 
 * The plain pass, on construction: q = 1, no shift, cells of
-  N(H).bit_length() bits, N(h) the number of multisets of non-simple roots
-  of total height at most h (M over their heights and one more 1).  The
-  simple roots finish any residual in one way, so a partition of v is fixed
-  by its non-simple roots, of height at most ht(v): p(v) <= N(H), 29 bits
-  on the E8 theta box, where M(H) needs 38.  It gives every p(v) and L.
+  N(H).bit_length() bits, 29 on the E8 theta box.  It gives every p(v)
+  and L.
 * The pass at q = 2^w (``_pass_at``): a shift of w bits.  The kernel is
   linear, so cell v ends at P_v(2^w), P_v the graded count of v, and every
   partial value of it sums over some partitions of v, so it is at most
@@ -70,41 +69,27 @@ reach, since a partition of v uses at most ht(v) roots.
 
 Table budget.  Before any work a count or listing is refused
 (TableBudgetError) when the graded pass over its box would take more than
-``TABLE_BUDGET_BITS``, cells * (H + 1) * M(H).bit_length() bits; a listing
+``TABLE_BUDGET_BITS``, cells * (H + 1) * N(H).bit_length() bits; a listing
 also when its p(xi) entries, 8 bytes per positive root and ``_ENTRY_BYTES``
 more each, would.
 
-Genfunc slab layout.  The box axes split into outer and inner axes.  Each
-outer position holds one bigint slab with every inner cell at the pass's
-uniform width; the slabs follow the outer axes in increasing row-major
-order.  Every pass follows one per-root plan of offsets, outer positions
-and inner steps.  A root with a nonzero outer part costs one masked
-shift-add per outer position of its sub-box, in increasing order, so later
-positions see earlier updates; a root inside the inner axes repeats its
-masked shift within each slab until nothing is left.  The mask of a root
-keeps the cells whose image stays in the box; each pass keys its masks by
-the root's inner part.
-
-Which axes are inner depends on the size of the box.
-
-* A box of more than ``_TRAILING_BOX_CELLS`` (64^2) cells takes pairwise
-  non-adjacent nodes of the Dynkin diagram, widest box dimension first,
-  while their cells number at most ``_SPREAD_SLAB_CELLS``
-  (:func:`_spread_axes`), and is laid out with its outer axes first.  The
-  support of a root is connected (Bourbaki, Lie Groups, ch. VI, 1.6), so
-  a root on two or more nodes has two adjacent ones, one of them outer:
-  only simple roots run their series inside a slab.  On the E8 theta box
-  the inner axes are alpha_1, alpha_4 and alpha_6: 1,440 slabs of 105
-  cells and 52,220 outer shift-adds, where the trailing axes alpha_6 to
-  alpha_8, a path, give 2,520 slabs of 60 cells, 76,128 outer shift-adds
-  and six roots with in-slab series.
-* A smaller box keeps the longest run of trailing axes with at most
-  ``SLAB_CELLS`` cells, with no reordering.  The spread layout is faster
-  there too, by 15-27% on 100- to 1,000-cell boxes, but the benchmark's
-  partition sweep keeps every output of its timed loop, so its peak RSS
-  follows its throughput: with the spread layout on every box it read
-  9-18% higher, against its 10% bound.  The selection goes once that
-  benchmark measures memory per call instead.
+Genfunc slab layout.  The inner axes of a box are pairwise non-adjacent
+nodes of the Dynkin diagram, taken widest box dimension first while their
+cells number at most ``SLAB_CELLS`` (:func:`_inner_axes`); the other axes
+are outer, and the layout puts them first.  Each outer position holds one
+bigint slab with every inner cell at the pass's uniform width; the slabs
+follow the outer axes in increasing row-major order.  Every pass follows
+one per-root plan of offsets, outer positions and inner steps.  A root with
+a nonzero outer part costs one masked shift-add per outer position of its
+sub-box, in increasing order, so later positions see earlier updates; a
+root inside the inner axes repeats its masked shift within each slab until
+nothing is left.  The support of a root is connected (Bourbaki, Lie
+Groups, ch. VI, 1.6), so a root on two or more nodes has two adjacent ones,
+one of them outer: only simple roots run their series inside a slab.  The
+mask of a root keeps the cells whose image stays in the box; each pass
+keys its masks by the root's inner part.  On the E8 theta box the inner
+axes are alpha_1, alpha_4 and alpha_6: 1,440 slabs of 105 cells and 52,220
+outer shift-adds a pass.
 
 Tree memo key.  The residual is one int with a fixed number of bits per
 coordinate plus a guard bit, so subtracting a root is one subtraction and
@@ -125,16 +110,12 @@ from typing import Callable, Iterable, Optional, Sequence
 from .qpoly import QPolynomial
 from .rootsys import IntVec, LieType, Matrix, RootSystem, Weight, build_root_system
 
-# Inner cells per genfunc slab of a box of at most _TRAILING_BOX_CELLS
-# cells, on its trailing axes: 64 was fastest on small boxes, and 256 two to
-# three times slower.  A larger box takes pairwise non-adjacent inner axes
-# of at most _SPREAD_SLAB_CELLS cells (module notes, slab layout).
-SLAB_CELLS = 64
-_TRAILING_BOX_CELLS = 64 * 64
-_SPREAD_SLAB_CELLS = 128
+# Most inner cells of a genfunc slab, on pairwise non-adjacent inner axes
+# (module notes, slab layout).
+SLAB_CELLS = 128
 
 # The largest graded genfunc table, in bits, that a computation may plan
-# (2^33 bits is 1 GiB): the E8 adjoint box plans 1.7e8 and A6 at rho 2.4e7.
+# (2^33 bits is 1 GiB): the E8 adjoint box plans 1.3e8 and E8 at omega_1 4.6e9.
 TABLE_BUDGET_BITS = 1 << 33
 
 # Bytes a listed partition holds at the lister's peak besides 8 per positive
@@ -215,22 +196,21 @@ class PartitionMultiset:
 
 
 @lru_cache(maxsize=None)
-def _root_heights(t: LieType) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The heights of the positive roots of ``t``, and those of its
-    non-simple roots with one more of height 1: M and N (module notes)."""
-    heights = tuple(map(sum, build_root_system(t).root_vectors))
-    return heights, heights[t.rank :] + (1,)
+def _root_heights(t: LieType) -> tuple[int, ...]:
+    """The heights of the non-simple roots of ``t`` and one more 1, whose
+    multisets of total height h number N(h) (module notes)."""
+    return tuple(map(sum, build_root_system(t).root_vectors[t.rank :])) + (1,)
 
 
 def check_table_budget(rs: RootSystem, box: IntVec) -> None:
     """TableBudgetError unless the graded table over ``box``, cells *
-    (H + 1) * M(H).bit_length() bits with H = ht(box), fits
+    (H + 1) * N(H).bit_length() bits with H = ht(box), fits
     :data:`TABLE_BUDGET_BITS`.  A cell takes at least one bit, so a box
-    whose cells * (H + 1) alone is over the budget is refused before M(H)
+    whose cells * (H + 1) alone is over the budget is refused before N(H)
     is computed."""
     cells, top = prod(b + 1 for b in box), sum(box)
     if cells * (top + 1) <= TABLE_BUDGET_BITS:
-        wide = _multisets_by_height(_root_heights(rs.lie_type)[0], top).bit_length()
+        wide = _multisets_by_height(_root_heights(rs.lie_type), top).bit_length()
         if cells * (top + 1) * wide <= TABLE_BUDGET_BITS:
             return
     raise TableBudgetError(
@@ -257,7 +237,7 @@ def _tree_memo(rs: RootSystem, target: IntVec) -> _TreeMemo:
     memo = _TREE_CACHES.get(rs.lie_type)
     if memo is None or memo.bits < bits:
         top = rs.rank * ((1 << bits) - 1)
-        limb = _multisets_by_height(_root_heights(rs.lie_type)[0], top).bit_length()
+        limb = _multisets_by_height(_root_heights(rs.lie_type), top).bit_length()
         memo = _TREE_CACHES[rs.lie_type] = _TreeMemo(bits, limb)
     return memo
 
@@ -367,15 +347,15 @@ def partition_tree_list(rs: RootSystem, xi: Weight) -> list[PartitionMultiset]:
     return [PartitionMultiset(m) for m in leaves]
 
 
-def _spread_axes(cartan: Matrix, dims: Sequence[int]) -> list[int]:
+def _inner_axes(cartan: Matrix, dims: Sequence[int]) -> list[int]:
     """Pairwise non-adjacent nodes of the Dynkin diagram, taken widest box
     dimension first (ties by index) while their cells number at most
-    ``_SPREAD_SLAB_CELLS``, in increasing order: the inner axes of a large
-    box (module notes)."""
+    ``SLAB_CELLS``, in increasing order: the inner axes of a box (module
+    notes)."""
     chosen: list[int] = []
     cells = 1
     for j in sorted(range(len(dims)), key=lambda j: -dims[j]):
-        if cells * dims[j] <= _SPREAD_SLAB_CELLS and all(
+        if cells * dims[j] <= SLAB_CELLS and all(
             cartan[i][j] == cartan[j][i] == 0 for i in chosen
         ):
             chosen.append(j)
@@ -406,21 +386,17 @@ class _GenfuncTable:
         check_table_budget(rs, box)
         r = rs.rank
         dims = [b + 1 for b in box]
-        fitting = [v for v in rs.root_vectors if all(map(int.__le__, v, box))]
-        spread = prod(dims) > _TRAILING_BOX_CELLS
-        if not spread:
-            split, inner_cells = r, 1
-            while split and inner_cells * dims[split - 1] <= SLAB_CELLS:
-                split -= 1
-                inner_cells *= dims[split]
-            axes: Sequence[int] = range(r)
-        else:
-            # lay the box out with its outer axes first
-            inner_axes = _spread_axes(rs.cartan, dims)
-            axes = [j for j in range(r) if j not in inner_axes] + inner_axes
-            split, inner_cells = r - len(inner_axes), prod(dims[j] for j in inner_axes)
-            dims = [dims[j] for j in axes]
-            fitting = [tuple(v[j] for j in axes) for v in fitting]
+        # lay the box out with its outer axes first
+        inner_axes = _inner_axes(rs.cartan, dims)
+        axes = [j for j in range(r) if j not in inner_axes] + inner_axes
+        split = r - len(inner_axes)
+        dims = [dims[j] for j in axes]
+        inner_cells = prod(dims[split:])
+        fitting = [
+            tuple(v[j] for j in axes)
+            for v in rs.root_vectors
+            if all(map(int.__le__, v, box))
+        ]
         # strides in layout order: outer strides count slabs, inner strides cells
         strides = [0] * r
         for lo, hi in ((split, r), (0, split)):
@@ -432,9 +408,7 @@ class _GenfuncTable:
         # v's cell number over the whole box, slab * inner_cells + cell, by
         # box axis
         flat = [x * inner_cells for x in strides[:split]] + strides[split:]
-        if spread:
-            flat = [flat[axes.index(j)] for j in range(r)]
-        self._flat = flat, inner_cells
+        self._flat = [flat[axes.index(j)] for j in range(r)], inner_cells
         # Per fitting root: its inner part, the cells its inner part steps
         # over, the slabs its outer part steps over and, for a nonzero outer
         # part, the outer positions of its sub-box, shared by equal outer parts.
@@ -457,7 +431,7 @@ class _GenfuncTable:
             plan.append((inner, step, off, positions))
         self._plan, self._top, self._excess = plan, sum(box), excess
         self._plain_bits = _multisets_by_height(
-            _root_heights(rs.lie_type)[1], self._top
+            _root_heights(rs.lie_type), self._top
         ).bit_length()
         self._counts = self._run(self._plain_bits, 0)
         self.limb = self.count(box).bit_length()

@@ -149,20 +149,15 @@ def word_str(word: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A group element sigma: its columns, columns[j] = sigma(alpha_j), a
-    reduced word for it, and the Cartan matrix it lives over."""
+    """A group element sigma: its columns, columns[j] = sigma(alpha_j), and
+    a reduced word for it."""
 
-    cartan: Matrix
     columns: Matrix
     word: tuple[int, ...]
 
     @property
     def length(self) -> int:
         return len(self.word)
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.length % 2 else 1
 
     @property
     def rank(self) -> int:
@@ -194,10 +189,9 @@ def enumerate_group(rs: RootSystem) -> list[WeylElement]:
             f"|W({rs.lie_type})| = {rs.weyl_order} exceeds "
             f"DEFAULT_MAX_GROUP_ORDER = {DEFAULT_MAX_GROUP_ORDER}"
         )
-    cartan, col = rs.cartan, _root_codes(rs.cartan, _ROOT_BITS).__getitem__
+    col = _root_codes(rs.cartan, _ROOT_BITS).__getitem__
     return [
-        WeylElement(cartan, tuple(map(col, g)), w)
-        for g, w, _ in _walk(cartan, _ROOT_BITS)
+        WeylElement(tuple(map(col, g)), w) for g, w, _ in _walk(rs.cartan, _ROOT_BITS)
     ]
 
 
@@ -274,7 +268,7 @@ def alternation_set(
         unpack = lambda x: tuple([(x >> s) & mask for s in shifts])
     return [
         AlternationRecord(
-            WeylElement(cartan, tuple(map(col, g)), word),
+            WeylElement(tuple(map(col, g)), word),
             Weight._of_ints(unpack(x)),
             -1 if len(word) % 2 else 1,
         )

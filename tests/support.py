@@ -35,7 +35,7 @@ def image(e: WeylElement, v) -> list:
 def identity_element(rs: RootSystem) -> WeylElement:
     r = rs.rank
     cols = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-    return WeylElement(rs.cartan, cols, ())
+    return WeylElement(cols, ())
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -47,7 +47,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     cols = tuple(
         tuple(int(k == j) - a[j] * int(k == i - 1) for k in range(r)) for j in range(r)
     )
-    return WeylElement(rs.cartan, cols, (i,))
+    return WeylElement(cols, (i,))
 
 
 def rmul_simple(cartan, cols, i: int) -> tuple:
@@ -60,14 +60,12 @@ def rmul_simple(cartan, cols, i: int) -> tuple:
     )
 
 
-def compose(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Product a*b by matrix multiplication on columns,
-    col_j(ab) = sum_k b.columns[j][k] a.columns[k], its word recomputed from
-    scratch."""
-    if a.cartan != b.cartan:
-        raise ValueError("cannot compose elements over different Cartan matrices")
+def compose(cartan, a: WeylElement, b: WeylElement) -> WeylElement:
+    """Product a*b in the Weyl group of ``cartan`` by matrix multiplication
+    on columns, col_j(ab) = sum_k b.columns[j][k] a.columns[k], its word
+    recomputed from scratch (ValueError when the product is no element)."""
     cols = tuple(tuple(image(a, col)) for col in b.columns)
-    return WeylElement(a.cartan, cols, canonical_word(a.cartan, cols))
+    return WeylElement(cols, canonical_word(cartan, cols))
 
 
 def length_by_negative_roots(rs: RootSystem, e: WeylElement) -> int:

@@ -39,12 +39,12 @@ ORACLE_CASES = [
     ("B2", (3, 3)),
     ("B3", (1, 2, 2)),
     ("C3", (2, 2, 1)),
-    ("A3", (2, 2, 2)),
-    ("A1", (5,)),  # rank 1
-    ("A1", (70,)),  # no inner axes: a slab per cell
+    ("A3", (2, 2, 2)),  # inner axes alpha_1 and alpha_3 around an outer one
+    ("A1", (5,)),  # rank 1: the whole box is one slab
+    ("A1", (130,)),  # no inner axes: a slab per cell
     ("G2", (0, 4)),  # a zero coordinate
-    ("B2", (7, 7)),  # the inner suffix is the whole box, 64 cells
-    ("B3", (3, 4, 3)),  # 80 cells: one outer axis
+    ("B2", (7, 7)),  # adjacent nodes: one inner axis
+    ("B3", (3, 4, 3)),  # 80 cells: the middle node inner, laid out last
     ("A3", (0, 0, 0)),  # the zero box: one cell, a 1-bit limb
 ]
 
@@ -182,6 +182,27 @@ class TestTreeCount:
         )
         assert fitted == most < 300
 
+    def test_budget_boundary(self):
+        # cells * (H + 1) * N(H).bit_length() bits against 2^33 (8.6e9): E8
+        # theta plans 1.3e8 bits and omega_1 4.6e9; E8 2 theta 3.9e10,
+        # omega_7 3.0e10 and E6 rho 1.9e10
+        e8, e6 = build_root_system("E8"), build_root_system("E6")
+        omega = lambda k: e8.omega_to_alpha([int(j == k) for j in range(1, 9)])
+        cases = [
+            (e8, e8.highest_root, True),
+            (e8, omega(1), True),
+            (e8, e8.highest_root + e8.highest_root, False),
+            (e8, omega(7), False),
+            (e6, e6.rho, False),
+        ]
+        for rs, xi, admitted in cases:
+            box = xi.nonnegative_ints()
+            if admitted:
+                check_table_budget(rs, box)
+            else:
+                with pytest.raises(TableBudgetError, match="over the budget"):
+                    check_table_budget(rs, box)
+
 
 class TestGenfunc:
     def test_g2_worked_example(self):
@@ -207,12 +228,14 @@ class TestGenfunc:
         low = [v for v in cells if sum(v) <= 12]
         for v in Random(8).sample(low, 25):
             assert read(v) == partition_tree_count(rs, Weight(v))
-        # the tree memo's limb: the multisets of roots at the largest height
-        # its residual field holds
+        # the tree memo's limb: N at the largest height its residual field
+        # holds, the multisets of non-simple roots of at most that height
         memo = _TREE_CACHES[rs.lie_type]
-        heights = tuple(sum(v) for v in rs.root_vectors)
+        heights = tuple(sum(v) for v in rs.root_vectors[rs.rank :]) + (1,)
         top = rs.rank * ((1 << memo.bits) - 1)
-        assert memo.limb == _multisets_by_height(heights, top).bit_length() >= widest
+        assert top == 56
+        limb = _multisets_by_height(heights, top).bit_length()
+        assert memo.limb == limb == 45 >= widest
 
     def test_limb_bound_past_32_bits(self):
         # E8 root heights up to t^56: the multiset count against graded lists
@@ -316,47 +339,64 @@ def d5_box_past_4096(seed):
             return box
 
 
+def sweep_band_boxes(name, count, seed):
+    """``count`` seeded boxes over ``name`` as the benchmark's partition sweep
+    draws them: coordinates at most 6, 100 to 1,000 cells."""
+    rng, rank, boxes = Random(seed), build_root_system(name).rank, []
+    while len(boxes) < count:
+        box = tuple(rng.randint(0, 6) for _ in range(rank))
+        if 100 <= math.prod(b + 1 for b in box) <= 1000:
+            boxes.append(box)
+    return boxes
+
+
+def layout_case(name, box):
+    return pytest.param(name, box, id=f"{name}-{'-'.join(map(str, box))}")
+
+
 class TestSlabLayout:
-    """A box of more than 4,096 cells keeps pairwise non-adjacent inner axes
-    of at most 128 cells; a smaller one the trailing run of at most
-    SLAB_CELLS cells, as it was laid out before (module notes)."""
+    """Every box keeps pairwise non-adjacent inner axes of at most
+    SLAB_CELLS cells (module notes)."""
 
     @pytest.mark.parametrize(
         "name,box",
         [
-            ("E8", highest_root_box("E8")),
-            ("E7", highest_root_box("E7")),
-            ("D5", d5_box_past_4096(2101)),
+            layout_case("E7", highest_root_box("E7")),
+            layout_case("D5", d5_box_past_4096(2101)),
+            layout_case("E6", sweep_band_boxes("E6", 1, 2103)[0]),
         ],
     )
-    def test_spread_cells_match_trailing_cells(self, monkeypatch, name, box):
+    def test_cells_match_tree_counts(self, name, box):
+        # an independent reference: the tree walk, cell by cell, at q = 1, 2, 16
         rs = build_root_system(name)
-        spread = _GenfuncTable(rs, box)
-        assert list(spread._axes) != list(range(rs.rank))
-        monkeypatch.setattr("qkostant.partition._TRAILING_BOX_CELLS", math.inf)
-        trailing = _GenfuncTable(rs, box)
-        assert trailing._axes == range(rs.rank)
+        table = _GenfuncTable(rs, box)
+        assert table._axes != list(range(rs.rank))
         cells = list(itertools.product(*(range(b + 1) for b in box)))
+        at = [table.address(v) for v in cells]
+        graded = [partition_tree_count(rs, Weight(v)).coeffs for v in cells]
+        assert table.counts(at) == [sum(c) for c in graded], (name, box)
+        for w in (1, 4):
+            slabs, bits = table._pass_at(w)
+            want = [sum(c << (w * k) for k, c in enumerate(g)) for g in graded]
+            assert table._read(slabs, bits, at) == want, (name, box, w)
 
-        def passes(table):
-            at = [table.address(v) for v in cells]
-            yield table.counts(at)
-            for w in (1, 4):
-                slabs, bits = table._pass_at(w)
-                yield bits, table._read(slabs, bits, at)
-
-        for got, want in zip(passes(spread), passes(trailing)):
-            assert got == want, (name, box)
-
-    @pytest.mark.parametrize("name", ["E8", "E7", "A20", "D12"])
-    def test_spread_inner_axes_are_non_adjacent(self, name):
+    @pytest.mark.parametrize(
+        "name,box",
+        [pytest.param(n, highest_root_box(n), id=n) for n in ("E8", "E7", "A20", "D12")]
+        + [
+            layout_case(name, box)
+            for k, name in enumerate(("D5", "E6", "F4", "A6"))
+            for box in sweep_band_boxes(name, 2, 2110 + k)
+        ],
+    )
+    def test_spread_inner_axes_are_non_adjacent(self, name, box):
         rs = build_root_system(name)
-        table = _GenfuncTable(rs, highest_root_box(name))
+        table = _GenfuncTable(rs, box)
         split, axes, cartan = table._split, table._axes, rs.cartan
         inner = axes[split:]
         assert sorted(axes[:split]) == list(axes[:split])
         assert sorted(inner) == list(inner) and sorted(axes) == list(range(rs.rank))
-        assert math.prod(table._dims[split:]) == table._flat[1] <= 128
+        assert math.prod(table._dims[split:]) == table._flat[1] <= SLAB_CELLS
         for i, j in itertools.combinations(inner, 2):
             assert cartan[i][j] == cartan[j][i] == 0, (name, i, j)
         # a root's support is connected: only simple roots stay in a slab
@@ -366,24 +406,6 @@ class TestSlabLayout:
             outer_adds = sum(len(p) for _, _, _, p in table._plan if p is not None)
             assert (list(inner), table._flat[1], outer_adds) == ([0, 3, 5], 105, 52_220)
             assert len(table._counts) == 1440
-
-    def test_small_boxes_keep_the_trailing_axes(self):
-        # partition-sweep's band of 100-1,000 cells, and 4,096 cells, the
-        # largest box laid out on its trailing axes
-        cases = random_boxes("D5", 4, 2102, most=1000)
-        cases += random_boxes("E6", 4, 2103, most=1000) + [("A12", (1,) * 12)]
-        for name, box in cases:
-            rs = build_root_system(name)
-            table = _GenfuncTable(rs, box)
-            dims, split = [b + 1 for b in box], table._split
-            assert table._axes == range(rs.rank)
-            assert math.prod(dims[split:]) <= SLAB_CELLS
-            assert split == 0 or math.prod(dims[split - 1 :]) > SLAB_CELLS
-            fitting = [v for v in rs.root_vectors if all(map(int.__le__, v, box))]
-            assert [inner for inner, *_ in table._plan] == [v[split:] for v in fitting]
-        # past 4,096 cells the box is spread
-        rs = build_root_system("A12")
-        assert _GenfuncTable(rs, (2,) + (1,) * 11)._axes != range(12)
 
 
 class TestTreeList:

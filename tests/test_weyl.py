@@ -42,7 +42,7 @@ class TestSimpleReflections:
             rs = build_root_system(name)
             for i in range(1, rs.rank + 1):
                 s = simple_reflection(rs, i)
-                assert compose(s, s).columns == identity_element(rs).columns
+                assert compose(rs.cartan, s, s).columns == identity_element(rs).columns
 
     def test_index_out_of_range(self):
         rs = build_root_system("A2")
@@ -91,8 +91,8 @@ class TestApplyCompose:
     def test_self_inverse_compose(self):
         rs = build_root_system("G2")
         s1 = simple_reflection(rs, 1)
-        assert compose(s1, s1).length == 0
-        assert compose(s1, s1).word == ()
+        assert compose(rs.cartan, s1, s1).length == 0
+        assert compose(rs.cartan, s1, s1).word == ()
 
     def test_g2_longest_element(self):
         rs = build_root_system("G2")
@@ -101,14 +101,16 @@ class TestApplyCompose:
         s1, s2 = simple_reflection(rs, 1), simple_reflection(rs, 2)
         w = s1
         for s in [s2, s1, s2, s1, s2]:
-            w = compose(w, s)
+            w = compose(rs.cartan, w, s)
         assert w.length == 6
 
     def test_compose_across_types_rejected(self):
-        a = simple_reflection(build_root_system("A2"), 1)
+        # over A2, s_1 of A2 times s_1 of G2 sends alpha_2 to -2 alpha_1 + alpha_2
+        a2 = build_root_system("A2")
+        a = simple_reflection(a2, 1)
         g = simple_reflection(build_root_system("G2"), 1)
         with pytest.raises(ValueError):
-            compose(a, g)
+            compose(a2.cartan, a, g)
 
     def test_det_sign_and_length(self):
         for name in ["G2", "B3"]:
@@ -126,7 +128,7 @@ class TestApplyCompose:
                 assert len(word) == e.length
                 rebuilt = identity_element(rs)
                 for i in word:
-                    rebuilt = compose(rebuilt, simple_reflection(rs, i))
+                    rebuilt = compose(rs.cartan, rebuilt, simple_reflection(rs, i))
                 assert rebuilt.columns == e.columns
 
     @pytest.mark.parametrize(
